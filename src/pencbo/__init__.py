@@ -7,11 +7,9 @@ tolerance are adapted online from the ensemble's constraint violation.
 
 from .dynamics import (
     CboParams,
-    ConsensusPoint,
     DiffusionKind,
     ParticleEnsemble,
-    consensus_point,
-    diffusion_scales,
+    consensus_raw,
     euler_maruyama_step,
     variance_functional,
 )
@@ -22,6 +20,7 @@ from .harness import (
     RunTrace,
     SuccessStats,
     batched_consensus,
+    config_from_spec,
     run,
     success_check,
     success_rate,
@@ -59,11 +58,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CboParams",
-    "ConsensusPoint",
     "DiffusionKind",
     "ParticleEnsemble",
-    "consensus_point",
-    "diffusion_scales",
+    "consensus_raw",
     "euler_maruyama_step",
     "variance_functional",
     "BatchSpec",
@@ -72,6 +69,7 @@ __all__ = [
     "RunTrace",
     "SuccessStats",
     "batched_consensus",
+    "config_from_spec",
     "run",
     "success_check",
     "success_rate",

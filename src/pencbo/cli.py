@@ -15,10 +15,8 @@ import os
 import sys
 from typing import Optional
 
-from .dynamics import CboParams, DiffusionKind
-from .harness import BatchSpec, RunConfig, run, success_rate
-from .penalty import ControllerMode, FeasibilityCheck, PenaltyController
-from .problems import InitSpec, PROBLEMS
+from .harness import SPEC_DEFAULTS, RunConfig, config_from_spec, run, success_rate
+from .problems import PROBLEMS
 from .qp import make_random_qp
 from .repro import FIGURES, reproduce
 
@@ -29,13 +27,7 @@ class SpecError(Exception):
     """Malformed or inconsistent experiment spec; maps to exit code 2."""
 
 
-_DEFAULTS = dict(
-    seed=0, n_particles=100, n_iterations=100,
-    lam=1.0, sigma=1.0, dt=0.1, alpha=1e6, diffusion="isotropic",
-    beta0=0.1, theta0=4.0, eta_beta=1.1, eta_theta=1.1,
-    mode="increase_only", check="gibbs",
-    init=None, batch=None, n_runs=100, tol_inf=0.1, sweep=None,
-)
+_DEFAULTS = dict(SPEC_DEFAULTS, n_runs=100, tol_inf=0.1, sweep=None)
 
 
 def _load_spec(path: Optional[str], args: argparse.Namespace) -> dict:
@@ -84,31 +76,8 @@ def _build_problem(spec: dict):
 
 def _build_config(spec: dict) -> RunConfig:
     try:
-        init = spec["init"]
-        if isinstance(init, dict):
-            init = InitSpec(**init)
-        batch = spec["batch"]
-        if isinstance(batch, dict):
-            batch = BatchSpec(**batch)
-        return RunConfig(
-            params=CboParams(
-                lam=float(spec["lam"]), sigma=float(spec["sigma"]),
-                dt=float(spec["dt"]), alpha=float(spec["alpha"]),
-                diffusion=DiffusionKind(spec["diffusion"]),
-            ),
-            controller=PenaltyController.fresh(
-                beta0=float(spec["beta0"]), theta0=float(spec["theta0"]),
-                eta_beta=float(spec["eta_beta"]), eta_theta=float(spec["eta_theta"]),
-                mode=ControllerMode(spec["mode"]),
-            ),
-            n_particles=int(spec["n_particles"]),
-            n_iterations=int(spec["n_iterations"]),
-            seed=int(spec["seed"]),
-            check=FeasibilityCheck(spec["check"]),
-            init=init,
-            batch=batch,
-        )
-    except (TypeError, ValueError, KeyError) as exc:
+        return config_from_spec(spec)
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid spec value: {exc}") from exc
 
 

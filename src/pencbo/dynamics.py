@@ -25,9 +25,7 @@ __all__ = [
     "DiffusionKind",
     "CboParams",
     "ParticleEnsemble",
-    "ConsensusPoint",
-    "consensus_point",
-    "diffusion_scales",
+    "consensus_raw",
     "euler_maruyama_step",
     "variance_functional",
 ]
@@ -102,29 +100,20 @@ class ParticleEnsemble:
         return self.positions.shape[1]
 
 
-@dataclass(frozen=True)
-class ConsensusPoint:
-    """Weighted ensemble average plus the log of the weight normalizer."""
-
-    point: np.ndarray
-    log_normalizer: float
+def _gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
+    """exp(-alpha * values), unnormalized and shifted by the minimum so
+    that large alpha cannot overflow."""
+    return np.exp(-alpha * (values - values.min()))
 
 
-def _gibbs_weights(values: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """exp(-alpha * values), computed against the running minimum.
+def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
+    """Gibbs-weighted average of the rows of an (n, d) position array.
 
-    Returns unnormalized weights w and log(sum w) + alpha*min so the true
-    normalizer log Z = sum exp(-alpha v) is recoverable at any alpha.
+    ``values`` are the per-particle scores being minimized; weight i is
+    proportional to exp(-alpha * values[i]).  The result always lies in the
+    componentwise hull of the positions, and with alpha=0 it is the plain
+    mean.
     """
-    shift = values.min()
-    w = np.exp(-alpha * (values - shift))
-    log_z = float(np.log(w.sum()) - alpha * shift)
-    return w, log_z
-
-
-def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """Consensus computation on bare arrays; shared by the ensemble wrapper
-    and by batched variants that slice positions without re-validating."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (positions.shape[0],):
         raise ValueError(
@@ -132,9 +121,8 @@ def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> tu
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    w, log_z = _gibbs_weights(values, alpha)
-    total = w.sum()
-    point = (positions * w[:, None]).sum(axis=0) / total
+    w = _gibbs_weights(values, alpha)
+    point = (positions * w[:, None]).sum(axis=0) / w.sum()
     # weighted mean must stay in the componentwise hull; clip away the
     # last-ulp rounding excursions so downstream code can rely on it
     lo = positions.min(axis=0)
@@ -142,54 +130,33 @@ def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> tu
     slack = 1e-9 * np.maximum(1.0, np.abs(hi - lo))
     if np.any(point < lo - slack) or np.any(point > hi + slack):
         raise AssertionError("consensus point escaped the coordinate hull")
-    return np.clip(point, lo, hi), log_z
-
-
-def consensus_point(ensemble: ParticleEnsemble, values: np.ndarray, alpha: float) -> ConsensusPoint:
-    """Gibbs-weighted average of particle positions.
-
-    ``values`` are the per-particle scores being minimized; weight i is
-    proportional to exp(-alpha * values[i]).  The result always lies in the
-    componentwise hull of the positions, and with alpha=0 it is the plain
-    mean.
-    """
-    point, log_z = consensus_raw(ensemble.positions, values, alpha)
-    return ConsensusPoint(point=point, log_normalizer=log_z)
-
-
-def diffusion_scales(particle: np.ndarray, consensus: np.ndarray, kind: DiffusionKind) -> np.ndarray:
-    """Per-coordinate noise amplitudes for one particle.
-
-    Isotropic: the Euclidean distance to the consensus point, replicated
-    across coordinates.  Anisotropic: the absolute per-coordinate
-    displacements.  The two agree in d=1.
-    """
-    particle = np.asarray(particle, dtype=np.float64)
-    consensus = np.asarray(consensus, dtype=np.float64)
-    diff = particle - consensus
-    kind = DiffusionKind(kind)
-    if kind is DiffusionKind.ISOTROPIC:
-        return np.full_like(diff, np.linalg.norm(diff))
-    return np.abs(diff)
+    return np.clip(point, lo, hi)
 
 
 def euler_maruyama_step(
     ensemble: ParticleEnsemble,
-    consensus: ConsensusPoint | np.ndarray,
+    consensus: np.ndarray,
     params: CboParams,
     noise: np.ndarray,
 ) -> ParticleEnsemble:
     """One explicit step of the consensus SDE discretization.
 
-    ``noise`` must be a caller-supplied (n, d) standard-normal block; the
-    step itself draws nothing, so identical inputs give identical outputs.
+    ``consensus`` is either one (d,) point that every particle moves toward
+    or an (n, d) array with one target per particle; a particle whose target
+    is its own position stays exactly where it is.  ``noise`` must be a
+    caller-supplied (n, d) standard-normal block; the step itself draws
+    nothing, so identical inputs give identical outputs.
     """
-    point = consensus.point if isinstance(consensus, ConsensusPoint) else np.asarray(consensus, dtype=np.float64)
     pos = ensemble.positions
+    target = np.asarray(consensus, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != pos.shape:
         raise ValueError(f"noise shape {noise.shape} != positions shape {pos.shape}")
-    diff = pos - point[None, :]
+    if target.shape not in ((ensemble.d,), pos.shape):
+        raise ValueError(
+            f"consensus must have shape ({ensemble.d},) or {pos.shape}, got {target.shape}"
+        )
+    diff = pos - target
     if params.diffusion is DiffusionKind.ISOTROPIC:
         scales = np.linalg.norm(diff, axis=1, keepdims=True)
     else:

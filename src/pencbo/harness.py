@@ -17,13 +17,14 @@ import numpy as np
 
 from .dynamics import (
     CboParams,
-    ConsensusPoint,
+    DiffusionKind,
     ParticleEnsemble,
     consensus_raw,
     euler_maruyama_step,
     variance_functional,
 )
 from .penalty import (
+    ControllerMode,
     FeasibilityCheck,
     PenaltyController,
     controller_step,
@@ -35,6 +36,7 @@ from .rng import batch_stream, initial_positions, noise_normals
 __all__ = [
     "BatchSpec",
     "RunConfig",
+    "config_from_spec",
     "RunTrace",
     "RunOutcome",
     "SuccessStats",
@@ -108,6 +110,46 @@ class RunConfig:
             object.__setattr__(self, "check", FeasibilityCheck(self.check))
 
 
+# Spec fields a RunConfig is built from, and the value each omitted field takes.
+SPEC_DEFAULTS = dict(
+    seed=0, n_particles=100, n_iterations=100,
+    lam=1.0, sigma=1.0, dt=0.1, alpha=1e6, diffusion="isotropic",
+    beta0=0.1, theta0=4.0, eta_beta=1.1, eta_theta=1.1,
+    mode="increase_only", check="gibbs", init=None, batch=None,
+)
+
+
+def config_from_spec(spec: dict) -> RunConfig:
+    """Build a RunConfig from a flat experiment spec (schema in the README).
+
+    Omitted fields take their ``SPEC_DEFAULTS`` value; fields that do not
+    configure a run (``problem``, ``n_runs``, ...) are ignored.  Enum fields
+    take members or their string values, and ``init``/``batch`` take dicts
+    of InitSpec/BatchSpec fields.  A bad value raises TypeError or
+    ValueError.
+    """
+    spec = {**SPEC_DEFAULTS, **spec}
+    init, batch = spec["init"], spec["batch"]
+    return RunConfig(
+        params=CboParams(
+            lam=float(spec["lam"]), sigma=float(spec["sigma"]),
+            dt=float(spec["dt"]), alpha=float(spec["alpha"]),
+            diffusion=DiffusionKind(spec["diffusion"]),
+        ),
+        controller=PenaltyController.fresh(
+            beta0=float(spec["beta0"]), theta0=float(spec["theta0"]),
+            eta_beta=float(spec["eta_beta"]), eta_theta=float(spec["eta_theta"]),
+            mode=ControllerMode(spec["mode"]),
+        ),
+        n_particles=int(spec["n_particles"]),
+        n_iterations=int(spec["n_iterations"]),
+        seed=int(spec["seed"]),
+        check=FeasibilityCheck(spec["check"]),
+        init=InitSpec(**init) if isinstance(init, dict) else init,
+        batch=BatchSpec(**batch) if isinstance(batch, dict) else batch,
+    )
+
+
 @dataclass(frozen=True)
 class RunTrace:
     """Per-iteration history of one run.
@@ -171,7 +213,7 @@ def batched_consensus(
     alpha: float,
     spec: BatchSpec,
     rng: np.random.Generator,
-) -> list[tuple[np.ndarray, ConsensusPoint]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Consensus restricted to batches; returns (indices, point) pairs.
 
     Random subset: one pair over M indices sampled without replacement
@@ -182,31 +224,14 @@ def batched_consensus(
     spec.validate_for(ensemble.n)
     values = np.asarray(values, dtype=np.float64)
     if spec.kind == "random_subset":
-        idx = np.sort(rng.choice(ensemble.n, size=spec.size, replace=False))
-        point, log_z = consensus_raw(ensemble.positions[idx], values[idx], alpha)
-        return [(idx, ConsensusPoint(point=point, log_normalizer=log_z))]
-    perm = rng.permutation(ensemble.n)
+        batches = [rng.choice(ensemble.n, size=spec.size, replace=False)]
+    else:
+        batches = rng.permutation(ensemble.n).reshape(spec.size, ensemble.n // spec.size)
     out = []
-    for rows in perm.reshape(spec.size, ensemble.n // spec.size):
+    for rows in batches:
         rows = np.sort(rows)
-        point, log_z = consensus_raw(ensemble.positions[rows], values[rows], alpha)
-        out.append((rows, ConsensusPoint(point=point, log_normalizer=log_z)))
+        out.append((rows, consensus_raw(ensemble.positions[rows], values[rows], alpha)))
     return out
-
-
-def _step_rows(
-    ensemble: ParticleEnsemble,
-    rows: np.ndarray,
-    point: np.ndarray,
-    params: CboParams,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """Step only the given rows toward a point; returns a full position array."""
-    sub = ParticleEnsemble(ensemble.positions[rows])
-    stepped = euler_maruyama_step(sub, point, params, noise[rows])
-    new = ensemble.positions.copy()
-    new[rows] = stepped.positions
-    return new
 
 
 def run(problem: Problem, config: RunConfig) -> RunTrace:
@@ -214,12 +239,20 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
 
     A non-finite particle or consensus failure stops the run early and
     returns the trace accumulated so far with ``aborted`` set and the
-    failing iteration named in ``abort_reason``.
+    failing iteration named in ``abort_reason``.  A problem whose objective
+    or penalty does not map the (n, d) ensemble to shape (n,) raises
+    ValueError before the first iteration.
+
+    Every iteration makes one step toward a consensus target.  Without
+    batching, and for a random subset with update scope "all", that target
+    is the single (sub)set consensus point.  Otherwise each particle gets
+    its batch's point, and a particle outside the sampled subset gets its
+    own position, so it does not move.
     """
     n, d, K = config.n_particles, problem.dim, config.n_iterations
-    params, alpha = config.params, config.params.alpha
-    if config.batch is not None:
-        config.batch.validate_for(n)
+    params, alpha, batch = config.params, config.params.alpha, config.batch
+    if batch is not None:
+        batch.validate_for(n)
     init = config.init if config.init is not None else problem.init
     ref = problem.known_solution
 
@@ -245,46 +278,38 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
         snapshots.append(ensemble.positions)
     j_vals = np.asarray(problem.objective(ensemble.positions), dtype=np.float64)
     r_vals = np.asarray(problem.penalty(ensemble.positions), dtype=np.float64)
+    for label, vals in (("objective", j_vals), ("penalty", r_vals)):
+        if vals.shape != (n,):
+            raise ValueError(
+                f"problem {problem.name!r}: {label} must map shape ({n}, {d}) "
+                f"to ({n},), got {vals.shape}"
+            )
 
     for k in range(K):
         try:
             merit = j_vals + ctrl.beta * r_vals
             noise = noise_normals(config.seed, k, n, d)
-            if config.batch is None:
-                point, _ = consensus_raw(ensemble.positions, merit, alpha)
-                recorded = point
-                ensemble = euler_maruyama_step(ensemble, point, params, noise)
-            elif config.batch.kind == "random_subset":
-                pairs = batched_consensus(
-                    ensemble, merit, alpha, config.batch, batch_stream(config.seed, k)
-                )
-                idx, cp = pairs[0]
-                recorded = cp.point
-                if config.batch.update_scope == "all":
-                    ensemble = euler_maruyama_step(ensemble, cp.point, params, noise)
-                else:
-                    ensemble = ParticleEnsemble(
-                        _step_rows(ensemble, idx, cp.point, params, noise)
-                    )
+            if batch is None:
+                target = recorded = consensus_raw(ensemble.positions, merit, alpha)
             else:
                 pairs = batched_consensus(
-                    ensemble, merit, alpha, config.batch, batch_stream(config.seed, k)
+                    ensemble, merit, alpha, batch, batch_stream(config.seed, k)
                 )
-                recorded, _ = consensus_raw(ensemble.positions, merit, alpha)
-                new = ensemble.positions.copy()
-                for rows, cp in pairs:
-                    sub = ParticleEnsemble(ensemble.positions[rows])
-                    new[rows] = euler_maruyama_step(
-                        sub, cp.point, params, noise[rows]
-                    ).positions
-                ensemble = ParticleEnsemble(new)
+                if batch.kind == "partition":
+                    recorded = consensus_raw(ensemble.positions, merit, alpha)
+                else:
+                    recorded = pairs[0][1]
+                if batch.kind == "random_subset" and batch.update_scope == "all":
+                    target = recorded
+                else:
+                    target = ensemble.positions.copy()
+                    for rows, point in pairs:
+                        target[rows] = point
+            ensemble = euler_maruyama_step(ensemble, target, params, noise)
 
             j_vals = np.asarray(problem.objective(ensemble.positions), dtype=np.float64)
             r_vals = np.asarray(problem.penalty(ensemble.positions), dtype=np.float64)
-            violation = ensemble_violation(
-                ensemble, problem, ctrl.beta, alpha, config.check,
-                penalties=r_vals, objectives=j_vals,
-            )
+            violation = ensemble_violation(r_vals, j_vals, ctrl.beta, alpha, config.check)
 
             k_arr[k] = k
             t_arr[k] = (k + 1) * params.dt
@@ -306,8 +331,7 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
             break
 
     try:
-        merit = j_vals + ctrl.beta * r_vals
-        final_consensus, _ = consensus_raw(ensemble.positions, merit, alpha)
+        final_consensus = consensus_raw(ensemble.positions, j_vals + ctrl.beta * r_vals, alpha)
     except (ValueError, AssertionError):
         final_consensus = np.full(d, np.nan)
 
@@ -380,17 +404,18 @@ def success_rate(
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if problem.known_solution is None:
         raise ValueError(f"problem {problem.name!r} has no known solution to score against")
+    if not tol_inf > 0:
+        raise ValueError(f"tol_inf must be > 0, got {tol_inf}")
     x_star = problem.known_solution
 
     def one(i: int) -> RunOutcome:
         cfg = replace(config, seed=config.seed + i)
         trace = run(problem, cfg)
-        finite = np.all(np.isfinite(trace.final_consensus))
-        dist = float(np.max(np.abs(trace.final_consensus - x_star))) if finite else np.inf
-        ok = (not trace.aborted) and finite and dist <= tol_inf
+        final = trace.final_consensus
+        dist = float(np.max(np.abs(final - x_star))) if np.all(np.isfinite(final)) else np.inf
         return RunOutcome(
             seed=cfg.seed,
-            success=ok,
+            success=not trace.aborted and success_check(final, x_star, tol_inf),
             aborted=trace.aborted,
             distance_inf=dist,
             final_beta=trace.final_beta,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import ParticleEnsemble, _gibbs_weights
+from .dynamics import _gibbs_weights
 
 if TYPE_CHECKING:
     from .problems import Problem
@@ -133,40 +133,34 @@ def violation_gibbs(
     merit_values = np.asarray(merit_values, dtype=np.float64)
     if penalties.shape != merit_values.shape:
         raise ValueError("penalties and merit_values must have matching shapes")
-    w, _ = _gibbs_weights(merit_values, alpha)
+    w = _gibbs_weights(merit_values, alpha)
     return float((penalties * w).sum() / w.sum())
 
 
 def ensemble_violation(
-    ensemble: ParticleEnsemble,
-    problem: "Problem",
+    penalties: np.ndarray,
+    objectives: np.ndarray,
     beta: float,
     alpha: float,
     check: FeasibilityCheck,
-    penalties: np.ndarray | None = None,
-    objectives: np.ndarray | None = None,
 ) -> float:
-    """Aggregate infeasibility of the ensemble under the selected check.
-
-    ``penalties``/``objectives`` accept precomputed r(x_i), j(x_i) so the
-    run loop can reuse values it already needed for the consensus weights.
-    """
-    if penalties is None:
-        penalties = problem.penalty(ensemble.positions)
+    """Aggregate infeasibility of the ensemble under the selected check,
+    from the values r(x_i), j(x_i) the run loop already holds."""
     if check is FeasibilityCheck.PLAIN_MEAN:
         return violation_plain_mean(penalties)
-    if objectives is None:
-        objectives = problem.objective(ensemble.positions)
-    merit = objectives + beta * penalties
-    return violation_gibbs(penalties, merit, alpha)
+    return violation_gibbs(penalties, objectives + beta * penalties, alpha)
+
+
+_THETA_MAX = float(np.finfo(np.float64).max)
 
 
 def controller_step(controller: PenaltyController, violation: float) -> tuple[PenaltyController, bool]:
     """Advance the controller by one observed violation.
 
     Passed check (violation <= 1/sqrt(theta)): tolerance tightens,
-    theta <- eta_theta * theta, beta holds (or shrinks, in the decreasing
-    mode before any violation has occurred).  Failed check: beta <-
+    theta <- eta_theta * theta (saturating at the largest finite float),
+    beta holds (or shrinks, in the decreasing mode before any violation
+    has occurred).  Failed check: beta <-
     eta_beta * beta and theta <- max(theta / eta_theta, theta0), so the
     tolerance relaxes one notch per failure but is capped at its initial
     value 1/sqrt(theta0).  Returns (next state, passed).
@@ -181,7 +175,8 @@ def controller_step(controller: PenaltyController, violation: float) -> tuple[Pe
             and not controller.has_violated
         ):
             beta = controller.beta / controller.eta_beta
-        nxt = replace(controller, beta=beta, theta=controller.theta * controller.eta_theta)
+        theta = min(controller.theta * controller.eta_theta, _THETA_MAX)
+        nxt = replace(controller, beta=beta, theta=theta)
     else:
         nxt = replace(
             controller,

@@ -2,6 +2,7 @@
 
 Every objective and penalty is vectorized over particle rows: an (n, d)
 array maps to an (n,) array, and a single (d,) point maps to a float.
+The run loop raises ValueError on a problem whose callables break this.
 Penalties are nonnegative and vanish exactly on the feasible set, so the
 merit function j + beta * r reduces to the objective at feasible points.
 """
@@ -191,6 +192,11 @@ def _to_z(x: np.ndarray) -> np.ndarray:
     return (x - _SHIFT2D) @ _ROT.T
 
 
+def _g_of_z(z: np.ndarray) -> np.ndarray:
+    """The rastrigin2d constraint g at constraint-frame rows z."""
+    return 0.5 * np.sum(z**2 - 10.0 * np.cos(2.0 * np.pi * z), axis=1) + 5.0
+
+
 @_rowwise
 def rastrigin2d_constraint(x: np.ndarray) -> np.ndarray:
     """g(x) = (1/2) sum_i (z_i^2 - 10 cos(2 pi z_i)) + 5 in the rotated frame.
@@ -198,8 +204,7 @@ def rastrigin2d_constraint(x: np.ndarray) -> np.ndarray:
     Feasible (g <= 0) near rotated lattice points z = (m, n) with
     m^2 + n^2 <= 10; each such point carries a small disc.
     """
-    z = _to_z(x)
-    return 0.5 * np.sum(z**2 - 10.0 * np.cos(2.0 * np.pi * z), axis=1) + 5.0
+    return _g_of_z(_to_z(x))
 
 
 # Distance field for the feasible set {g <= 0}, sampled on a z-frame grid.
@@ -284,9 +289,7 @@ def make_rastrigin2d() -> Problem:
     @_rowwise
     def penalty(x):
         z = _to_z(x)
-        g = 0.5 * np.sum(z**2 - 10.0 * np.cos(2.0 * np.pi * z), axis=1) + 5.0
-        r = _distance_to_feasible(z)
-        return np.where(g <= 0.0, 0.0, r)
+        return np.where(_g_of_z(z) <= 0.0, 0.0, _distance_to_feasible(z))
 
     return Problem(
         name="rastrigin2d",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import InitSpec, Problem
+from .problems import InitSpec, Problem, _rowwise
 from .rng import problem_stream
 
 __all__ = ["QpInstance", "make_random_qp"]
@@ -147,19 +147,13 @@ def make_random_qp(d: int, seed: int) -> tuple[Problem, QpInstance]:
     h0 = -H.T @ x_star
     instance = QpInstance(A=A, b=b, H=H, h0=h0, x_star=x_star, multipliers=nu)
 
-    def objective(x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return float(0.5 * x @ A @ x - b @ x)
+    @_rowwise
+    def objective(x):
         return 0.5 * np.einsum("ni,ij,nj->n", x, A, x) - x @ b
 
-    def penalty(x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        r = np.sum(np.abs(x @ H + h0), axis=1) + np.sum(np.maximum(0.0, -x), axis=1)
-        return float(r[0]) if single else r
+    @_rowwise
+    def penalty(x):
+        return np.sum(np.abs(x @ H + h0), axis=1) + np.sum(np.maximum(0.0, -x), axis=1)
 
     problem = Problem(
         name=f"qp-d{d}-s{seed}",

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import CboParams, DiffusionKind
-from .harness import RunConfig, run, success_rate
-from .penalty import ControllerMode, FeasibilityCheck, PenaltyController
+from .dynamics import DiffusionKind
+from .harness import RunConfig, config_from_spec, run, success_rate
+from .penalty import ControllerMode, FeasibilityCheck
 from .problems import make_rastrigin2d, make_test1, PROBLEMS
 from .qp import make_random_qp
 
@@ -69,30 +70,11 @@ QP_DIMENSIONS = (10, 15, 20)
 QP_INSTANCE_SEED = 0
 
 
-def _config_from_row(row: dict, seed: int, n_particles: Optional[int] = None,
-                     **overrides) -> RunConfig:
-    params = CboParams(
-        lam=row["lam"], sigma=overrides.get("sigma", row["sigma"]),
-        dt=row["dt"], alpha=1e6,
-        diffusion=overrides.get("diffusion", DiffusionKind.ISOTROPIC),
-    )
-    controller = PenaltyController.fresh(
-        beta0=overrides.get("beta0", row["beta0"]),
-        theta0=row["theta0"],
-        eta_beta=row["eta_beta"],
-        eta_theta=row["eta_theta"],
-        mode=overrides.get("mode", ControllerMode.INCREASE_ONLY),
-    )
-    return RunConfig(
-        params=params,
-        controller=controller,
-        n_particles=n_particles or int(row["n_particles"]),
-        n_iterations=int(row["n_iterations"]),
-        seed=seed,
-        check=FeasibilityCheck(overrides.get("check", row["check"])),
-        init=overrides.get("init"),
-        record_particles=overrides.get("record_particles", False),
-    )
+def _config(row: dict, seed: int, n_particles: Optional[int], **overrides) -> RunConfig:
+    """The run config of one figure row; ``overrides`` fill its swept axes."""
+    return config_from_spec({**row, "seed": seed,
+                             "n_particles": n_particles or row["n_particles"],
+                             **overrides})
 
 
 def _write_summary(out_dir: str, figure: str, summary: dict) -> str:
@@ -108,8 +90,8 @@ def _trace_figures(figure: str, out_dir: str, seed: int,
     if figure in ("fig1", "fig2"):
         row = FIGURE_PARAMETERS[figure]
         problem = make_test1()
-        config = _config_from_row(row, seed, n_particles,
-                                  record_particles=(figure == "fig1"))
+        config = replace(_config(row, seed, n_particles),
+                         record_particles=(figure == "fig1"))
         trace = run(problem, config)
         trace_path = os.path.join(out_dir, f"{figure}_trace.csv")
         trace.to_csv(trace_path)
@@ -136,7 +118,7 @@ def _trace_figures(figure: str, out_dir: str, seed: int,
     panel_stats = {}
     for panel in ("fig4a", "fig4b", "fig4c", "fig4d"):
         row = FIGURE_PARAMETERS[panel]
-        config = _config_from_row(row, seed, n_particles)
+        config = _config(row, seed, n_particles)
         trace = run(problem, config)
         trace_path = os.path.join(out_dir, f"{panel}_trace.csv")
         trace.to_csv(trace_path)
@@ -174,8 +156,8 @@ def _beta0_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
             problem = PROBLEMS[name]()
             for label, check, mode in variants:
                 for beta0 in BETA0_GRID:
-                    config = _config_from_row(row, seed, n_particles,
-                                              beta0=beta0, check=check, mode=mode)
+                    config = _config(row, seed, n_particles,
+                                     beta0=beta0, check=check, mode=mode)
                     stats = success_rate(problem, config, n_runs, tol_inf=0.1,
                                          threads=threads)
                     med = float(np.median([o.final_beta for o in stats.outcomes]))
@@ -199,8 +181,7 @@ def _sigma_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
         for d in QP_DIMENSIONS:
             problem, _ = make_random_qp(d, QP_INSTANCE_SEED)
             for sigma in SIGMA_GRID:
-                config = _config_from_row(row, seed, n_particles,
-                                          sigma=sigma, diffusion=kind)
+                config = _config(row, seed, n_particles, sigma=sigma, diffusion=kind)
                 stats = success_rate(problem, config, n_runs, tol_inf=0.25,
                                      threads=threads)
                 fh.write(f"{d},{sigma!r},{stats.rate!r},{stats.n_aborted}\n")

@@ -206,17 +206,16 @@ def test_criterion_8_core_invariants_inline(quadratic_bowl, capsys):
     rng = np.random.default_rng(5)
     positions = rng.normal(size=(40, 3))
     values = rng.uniform(size=40)
-    ens = pc.ParticleEnsemble(positions)
     checks = {}
 
-    point = pc.consensus_point(ens, values, alpha=7.0).point
+    point = pc.consensus_raw(positions, values, alpha=7.0)
     checks["hull"] = bool(np.all(point >= positions.min(0) - 1e-12)
                           and np.all(point <= positions.max(0) + 1e-12))
 
-    shifted = pc.consensus_point(pc.ParticleEnsemble(positions + 2.5), values, 7.0).point
+    shifted = pc.consensus_raw(positions + 2.5, values, 7.0)
     checks["translation"] = bool(np.allclose(shifted, point + 2.5, rtol=1e-12))
 
-    argmin_pt = pc.consensus_point(ens, values, alpha=1e6).point
+    argmin_pt = pc.consensus_raw(positions, values, alpha=1e6)
     checks["argmin-limit"] = bool(
         np.allclose(argmin_pt, positions[np.argmin(values)], atol=1e-9))
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pencbo as pc
-from pencbo.dynamics import consensus_raw, diffusion_scales
+from pencbo.dynamics import consensus_raw
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -25,7 +25,7 @@ class TestConsensus:
     @given(positions_and_values(), st.floats(0.0, 1e8))
     def test_consensus_inside_coordinate_hull(self, pv, alpha):
         positions, values = pv
-        point, _ = consensus_raw(positions, values, alpha)
+        point = consensus_raw(positions, values, alpha)
         lo, hi = positions.min(axis=0), positions.max(axis=0)
         assert np.all(point >= lo - 1e-9 * (1 + np.abs(lo)))
         assert np.all(point <= hi + 1e-9 * (1 + np.abs(hi)))
@@ -35,35 +35,35 @@ class TestConsensus:
     def test_translation_equivariance(self, pv, alpha, shift):
         positions, values = pv
         shift = shift[: positions.shape[1]]
-        base, _ = consensus_raw(positions, values, alpha)
-        moved, _ = consensus_raw(positions + shift, values, alpha)
+        base = consensus_raw(positions, values, alpha)
+        moved = consensus_raw(positions + shift, values, alpha)
         np.testing.assert_allclose(moved, base + shift, rtol=1e-9, atol=1e-9)
 
     def test_alpha_zero_is_plain_mean(self):
         rng = np.random.default_rng(3)
         positions = rng.normal(size=(40, 3))
         values = rng.normal(size=40)
-        point, _ = consensus_raw(positions, values, 0.0)
+        point = consensus_raw(positions, values, 0.0)
         np.testing.assert_allclose(point, positions.mean(axis=0), rtol=1e-12)
 
     def test_large_alpha_selects_argmin(self):
         rng = np.random.default_rng(4)
         positions = rng.normal(size=(30, 2))
         values = rng.normal(size=30)
-        point, _ = consensus_raw(positions, values, 1e8)
+        point = consensus_raw(positions, values, 1e8)
         np.testing.assert_allclose(point, positions[np.argmin(values)], atol=1e-6)
 
     def test_extreme_values_do_not_overflow(self):
         positions = np.array([[0.0], [1.0]])
         values = np.array([1e6, -1e6])
-        point, _ = consensus_raw(positions, values, 1e6)
+        point = consensus_raw(positions, values, 1e6)
         assert np.isfinite(point).all()
         np.testing.assert_allclose(point, [1.0])
 
     def test_consensus_point_wraps_ensemble(self):
         ens = pc.ParticleEnsemble(np.array([[0.0, 0.0], [2.0, 2.0]]))
-        cp = pc.consensus_point(ens, np.array([0.0, 0.0]), 0.0)
-        np.testing.assert_allclose(cp.point, [1.0, 1.0])
+        point = pc.consensus_raw(ens.positions, np.array([0.0, 0.0]), 0.0)
+        np.testing.assert_allclose(point, [1.0, 1.0])
 
 
 class TestEnsemble:
@@ -121,15 +121,44 @@ class TestStep:
             out.positions, 0.75 * (ens.positions - point) + point, rtol=1e-12
         )
 
+    @staticmethod
+    def noise_scales(particle, kind):
+        # with no drift, unit noise and unit step the move is the noise scale
+        params = pc.CboParams(lam=0.0, sigma=1.0, dt=1.0, diffusion=kind)
+        ens = pc.ParticleEnsemble(np.array([particle]))
+        out = pc.euler_maruyama_step(ens, np.zeros(len(particle)), params,
+                                     np.ones((1, len(particle))))
+        return (out.positions - ens.positions)[0]
+
     def test_isotropic_noise_scale_is_distance(self):
-        scales = diffusion_scales(np.array([3.0, 4.0]), np.zeros(2),
-                                  pc.DiffusionKind.ISOTROPIC)
+        scales = self.noise_scales([3.0, 4.0], pc.DiffusionKind.ISOTROPIC)
         np.testing.assert_allclose(scales, [5.0, 5.0])
 
     def test_anisotropic_noise_scale_is_componentwise(self):
-        scales = diffusion_scales(np.array([3.0, -4.0]), np.zeros(2),
-                                  pc.DiffusionKind.ANISOTROPIC)
+        scales = self.noise_scales([3.0, -4.0], pc.DiffusionKind.ANISOTROPIC)
         np.testing.assert_allclose(scales, [3.0, 4.0])
+
+    @pytest.mark.parametrize("kind", list(pc.DiffusionKind))
+    def test_per_row_targets_match_separate_steps(self, kind):
+        rng = np.random.default_rng(6)
+        positions = rng.normal(size=(6, 3))
+        noise = rng.normal(size=(6, 3))
+        params = pc.CboParams(lam=0.8, sigma=0.9, dt=0.1, diffusion=kind)
+        points = rng.normal(size=(2, 3))
+        targets = np.repeat(points, 3, axis=0)
+        targets[5] = positions[5]  # a row aimed at itself
+        out = pc.euler_maruyama_step(pc.ParticleEnsemble(positions), targets, params, noise)
+        for rows, point in ((slice(0, 3), points[0]), (slice(3, 5), points[1])):
+            alone = pc.euler_maruyama_step(
+                pc.ParticleEnsemble(positions[rows]), point, params, noise[rows])
+            np.testing.assert_array_equal(out.positions[rows], alone.positions)
+        np.testing.assert_array_equal(out.positions[5], positions[5])
+
+    def test_target_shape_is_checked(self):
+        ens = pc.ParticleEnsemble(np.zeros((4, 2)))
+        params = pc.CboParams()
+        with pytest.raises(ValueError, match="consensus must have shape"):
+            pc.euler_maruyama_step(ens, np.zeros((2, 2)), params, np.zeros((4, 2)))
 
     def test_step_isotropic_vs_anisotropic_scaling(self):
         positions = np.array([[3.0, 4.0]])

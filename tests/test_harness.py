@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import pencbo as pc
+from conftest import make_quadratic_bowl
+from pencbo import harness
 from pencbo.penalty import controller_step
 from pencbo.rng import batch_stream
 
@@ -130,8 +132,8 @@ class TestBatching:
         pairs = pc.batched_consensus(
             ens, values, 1e6, pc.BatchSpec.random_subset(1), np.random.default_rng(5)
         )
-        (idx, cp), = pairs
-        np.testing.assert_array_equal(cp.point, ens.positions[idx[0]])
+        (idx, point), = pairs
+        np.testing.assert_array_equal(point, ens.positions[idx[0]])
 
     def test_partition_points_stay_in_batch_hull(self):
         rng = np.random.default_rng(1)
@@ -143,10 +145,10 @@ class TestBatching:
         assert len(pairs) == 3
         seen = np.concatenate([idx for idx, _ in pairs])
         assert sorted(seen) == list(range(12))
-        for idx, cp in pairs:
+        for idx, point in pairs:
             sub = ens.positions[idx]
-            assert np.all(cp.point >= sub.min(axis=0) - 1e-12)
-            assert np.all(cp.point <= sub.max(axis=0) + 1e-12)
+            assert np.all(point >= sub.min(axis=0) - 1e-12)
+            assert np.all(point <= sub.max(axis=0) + 1e-12)
 
     def test_batch_scope_moves_only_sampled_rows(self):
         problem = pc.make_test1()
@@ -169,6 +171,22 @@ class TestBatching:
         assert set(np.flatnonzero(moved)) <= set(idx.tolist())
         untouched = np.setdiff1d(np.arange(8), idx)
         np.testing.assert_array_equal(before[untouched], after[untouched])
+
+    @pytest.mark.parametrize("batch", [
+        None,
+        pc.BatchSpec.random_subset(5, update_scope="all"),
+        pc.BatchSpec.random_subset(5, update_scope="batch"),
+        pc.BatchSpec.partition(4),
+    ])
+    def test_one_step_per_iteration_in_every_mode(self, small_run_config, monkeypatch, batch):
+        calls = []
+        step = harness.euler_maruyama_step
+        monkeypatch.setattr(harness, "euler_maruyama_step",
+                            lambda *args: calls.append(args[1].shape) or step(*args))
+        trace = pc.run(pc.make_test1(), replace(small_run_config, batch=batch))
+        assert len(calls) == trace.n_recorded == small_run_config.n_iterations
+        per_row = batch is not None and (batch.kind == "partition" or batch.update_scope == "batch")
+        assert set(calls) == {(16, 1) if per_row else (1,)}
 
     def test_invalid_batch_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -211,6 +229,47 @@ class TestAbort:
         assert stats.n_aborted == 3
 
 
+class TestProblemContract:
+    @staticmethod
+    def column_bowl():
+        # objective returns shape (n, 1) instead of (n,)
+        bowl = make_quadratic_bowl()
+        return replace(bowl, objective=lambda x: bowl.objective(x)[:, None])
+
+    def test_wrong_shape_objective_raises_in_run(self, small_run_config):
+        with pytest.raises(ValueError, match=r"objective must map .* got \(16, 1\)"):
+            pc.run(self.column_bowl(), small_run_config)
+
+    def test_wrong_shape_objective_raises_in_success_rate(self, small_run_config):
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="quadratic-bowl-3d"):
+                pc.success_rate(self.column_bowl(), small_run_config, n_runs=2,
+                                tol_inf=0.5, threads=threads)
+
+    def test_wrong_shape_penalty_raises(self, quadratic_bowl, small_run_config):
+        scalar = replace(quadratic_bowl, penalty=lambda x: 0.0)
+        with pytest.raises(ValueError, match=r"penalty must map .* got \(\)"):
+            pc.run(scalar, small_run_config)
+
+
+class TestLongRuns:
+    def test_theta_saturates_instead_of_aborting(self, quadratic_bowl):
+        # r == 0 passes every check, so theta grows by 1.5 per iteration and
+        # would pass the largest float near iteration 1750
+        config = pc.RunConfig(
+            params=pc.CboParams(lam=1.0, sigma=0.5, dt=0.05),
+            controller=pc.PenaltyController.fresh(beta0=1.0, theta0=4.0, eta_theta=1.5),
+            n_particles=16,
+            n_iterations=2000,
+            seed=7,
+        )
+        trace = pc.run(quadratic_bowl, config)
+        assert not trace.aborted, trace.abort_reason
+        assert trace.n_recorded == 2000
+        assert np.all(np.isfinite(trace.theta))
+        assert trace.theta[-1] == np.finfo(float).max
+
+
 class TestSuccessScoring:
     def test_boundary_is_inclusive(self):
         assert pc.success_check(np.array([0.1, 0.1]), np.zeros(2), 0.1)
@@ -245,6 +304,11 @@ class TestSuccessScoring:
         )
         with pytest.raises(ValueError, match="known solution"):
             pc.success_rate(nameless, small_run_config, n_runs=1, tol_inf=0.1)
+
+    @pytest.mark.parametrize("tol_inf", [0.0, -1.0])
+    def test_rejects_nonpositive_tolerance(self, quadratic_bowl, small_run_config, tol_inf):
+        with pytest.raises(ValueError, match="tol_inf must be > 0"):
+            pc.success_rate(quadratic_bowl, small_run_config, n_runs=2, tol_inf=tol_inf)
 
 
 class TestCsv:

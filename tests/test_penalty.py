@@ -191,8 +191,13 @@ class TestEnsembleViolationWiring:
         ens = pc.ParticleEnsemble(rng.normal(size=(20, 1)))
         r = problem.penalty(ens.positions)
         j = problem.objective(ens.positions)
+        fresh_evaluation = {
+            pc.FeasibilityCheck.PLAIN_MEAN: violation_plain_mean(problem.penalty(ens.positions)),
+            pc.FeasibilityCheck.GIBBS: violation_gibbs(
+                problem.penalty(ens.positions),
+                pc.penalty_value(problem, ens.positions, 2.0), 1e6),
+        }
         for check in pc.FeasibilityCheck:
-            direct = pc.ensemble_violation(ens, problem, 2.0, 1e6, check)
-            cached = pc.ensemble_violation(ens, problem, 2.0, 1e6, check,
-                                           penalties=r, objectives=j)
+            direct = fresh_evaluation[check]
+            cached = pc.ensemble_violation(r, j, 2.0, 1e6, check)
             assert direct == cached
