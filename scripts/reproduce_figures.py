@@ -7,7 +7,7 @@ full-size versions from the original study (500-run sweeps, 1e6-particle
 panels), which takes hours rather than minutes.
 
 Examples:
-    python3 scripts/reproduce_figures.py --out data --threads 8
+    python3 scripts/reproduce_figures.py --out data
     python3 scripts/reproduce_figures.py --figures fig7 fig8 --runs 25
 """
 
@@ -29,8 +29,6 @@ def main() -> int:
                         help="repetitions per sweep point (default 100)")
     parser.add_argument("--particles", type=int, default=None,
                         help="override particle count for every run")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("CBO_THREADS", "4")))
     parser.add_argument("--published", action="store_true",
                         help="full-size sweeps (500 runs) and panels (1e6 particles)")
     args = parser.parse_args()
@@ -45,8 +43,7 @@ def main() -> int:
         start = time.time()
         out_dir = os.path.join(args.out, figure)
         paths = reproduce(figure, out_dir, seed=args.seed,
-                          n_particles=n_particles, n_runs=n_runs,
-                          threads=args.threads)
+                          n_particles=n_particles, n_runs=n_runs)
         print(f"{figure}: {len(paths)} files in {out_dir} "
               f"({time.time() - start:.1f}s)")
         for p in paths:

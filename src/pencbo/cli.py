@@ -141,7 +141,6 @@ def cmd_sweep(args) -> int:
         if not isinstance(axes[name], list) or not axes[name]:
             raise SpecError(f"sweep.{name}: expected a non-empty list")
     out = _out_dir(args)
-    threads = args.threads or int(os.environ.get("CBO_THREADS", "1"))
     n_runs = int(spec["n_runs"])
     tol = float(spec["tol_inf"])
     rows = []
@@ -149,7 +148,7 @@ def cmd_sweep(args) -> int:
         point = dict(spec)
         point.update(dict(zip(names, (float(v) for v in combo))))
         config = _build_config(point)
-        stats = success_rate(problem, config, n_runs, tol, threads=threads)
+        stats = success_rate(problem, config, n_runs, tol)
         rows.append((combo, stats))
     table_path = os.path.join(out, f"{problem.name}_sweep.csv")
     with open(table_path, "w") as fh:
@@ -180,10 +179,9 @@ def cmd_reproduce(args) -> int:
         raise SpecError("reproduce: --figure is required")
     if args.figure not in FIGURES:
         raise SpecError(f"reproduce: unknown figure {args.figure!r}; known: {FIGURES}")
-    threads = args.threads or int(os.environ.get("CBO_THREADS", "1"))
     paths = reproduce(
         args.figure, _out_dir(args), seed=args.seed or 0,
-        n_particles=args.particles, n_runs=args.runs, threads=threads,
+        n_particles=args.particles, n_runs=args.runs,
     )
     for p in paths:
         print(p)
@@ -219,8 +217,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     common.add_argument("--out", help="output directory (default: current)")
     common.add_argument("--particles", type=int, help="override particle count")
     common.add_argument("--iters", type=int, help="override iteration count")
-    common.add_argument("--threads", type=int,
-                        help="worker threads for multi-run commands (or CBO_THREADS)")
 
     sub.add_parser("run", parents=[common], help="single run: trace CSV + summary")
     sub.add_parser("sweep", parents=[common], help="success-rate table over sweep axes")

@@ -112,7 +112,8 @@ def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> np
     ``values`` are the per-particle scores being minimized; weight i is
     proportional to exp(-alpha * values[i]).  The result always lies in the
     componentwise hull of the positions, and with alpha=0 it is the plain
-    mean.
+    mean.  Non-finite values, or a point that rounding pushed outside the
+    hull, raise FloatingPointError.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (positions.shape[0],):
@@ -120,7 +121,7 @@ def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> np
             f"values must have shape ({positions.shape[0]},), got {values.shape}"
         )
     if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
+        raise FloatingPointError("consensus values must be finite")
     w = _gibbs_weights(values, alpha)
     point = (positions * w[:, None]).sum(axis=0) / w.sum()
     # weighted mean must stay in the componentwise hull; clip away the
@@ -129,7 +130,7 @@ def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> np
     hi = positions.max(axis=0)
     slack = 1e-9 * np.maximum(1.0, np.abs(hi - lo))
     if np.any(point < lo - slack) or np.any(point > hi + slack):
-        raise AssertionError("consensus point escaped the coordinate hull")
+        raise FloatingPointError("consensus point escaped the coordinate hull")
     return np.clip(point, lo, hi)
 
 

@@ -234,14 +234,28 @@ def batched_consensus(
     return out
 
 
+def _evaluate(problem: Problem, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Objective and penalty values of the (n, d) rows; ValueError, naming
+    the problem, when either callable does not return shape (n,)."""
+    j_vals = np.asarray(problem.objective(positions), dtype=np.float64)
+    r_vals = np.asarray(problem.penalty(positions), dtype=np.float64)
+    for label, vals in (("objective", j_vals), ("penalty", r_vals)):
+        if vals.shape != positions.shape[:1]:
+            raise ValueError(
+                f"problem {problem.name!r}: {label} must map shape {positions.shape} "
+                f"to ({positions.shape[0]},), got {vals.shape}"
+            )
+    return j_vals, r_vals
+
+
 def run(problem: Problem, config: RunConfig) -> RunTrace:
     """Execute K iterations; never raises on numerical blow-up.
 
-    A non-finite particle or consensus failure stops the run early and
-    returns the trace accumulated so far with ``aborted`` set and the
-    failing iteration named in ``abort_reason``.  A problem whose objective
-    or penalty does not map the (n, d) ensemble to shape (n,) raises
-    ValueError before the first iteration.
+    A non-finite position, value, weight or violation (FloatingPointError)
+    stops the run early and returns the trace so far with ``aborted`` set
+    and the failing iteration named in ``abort_reason``.  Anything else
+    raises, e.g. ValueError when, at any iteration, the objective or
+    penalty does not map the (n, d) ensemble to shape (n,).
 
     Every iteration makes one step toward a consensus target.  Without
     batching, and for a random subset with update scope "all", that target
@@ -276,14 +290,7 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
     ensemble = ParticleEnsemble(initial_positions(config.seed, n, d, init))
     if snapshots is not None:
         snapshots.append(ensemble.positions)
-    j_vals = np.asarray(problem.objective(ensemble.positions), dtype=np.float64)
-    r_vals = np.asarray(problem.penalty(ensemble.positions), dtype=np.float64)
-    for label, vals in (("objective", j_vals), ("penalty", r_vals)):
-        if vals.shape != (n,):
-            raise ValueError(
-                f"problem {problem.name!r}: {label} must map shape ({n}, {d}) "
-                f"to ({n},), got {vals.shape}"
-            )
+    j_vals, r_vals = _evaluate(problem, ensemble.positions)
 
     for k in range(K):
         try:
@@ -307,8 +314,7 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
                         target[rows] = point
             ensemble = euler_maruyama_step(ensemble, target, params, noise)
 
-            j_vals = np.asarray(problem.objective(ensemble.positions), dtype=np.float64)
-            r_vals = np.asarray(problem.penalty(ensemble.positions), dtype=np.float64)
+            j_vals, r_vals = _evaluate(problem, ensemble.positions)
             violation = ensemble_violation(r_vals, j_vals, ctrl.beta, alpha, config.check)
 
             k_arr[k] = k
@@ -325,14 +331,14 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
             if snapshots is not None:
                 snapshots.append(ensemble.positions)
             done = k + 1
-        except (FloatingPointError, ValueError, AssertionError, np.linalg.LinAlgError) as exc:
+        except FloatingPointError as exc:
             aborted = True
             reason = f"iteration {k}: {exc}"
             break
 
     try:
         final_consensus = consensus_raw(ensemble.positions, j_vals + ctrl.beta * r_vals, alpha)
-    except (ValueError, AssertionError):
+    except FloatingPointError:
         final_consensus = np.full(d, np.nan)
 
     sl = slice(0, done)
@@ -397,9 +403,12 @@ def success_rate(
     """Fraction of runs ending within tol_inf of the known solution.
 
     Run i uses seed config.seed + i; aborted runs count as failures and are
-    flagged in the outcome list.  Runs are independent, so ``threads`` > 1
-    executes them in a thread pool without changing any result.
+    flagged in the outcome list.  Runs execute one after another;
+    ``threads`` accepts only 1 and remains only because
+    ``perfbench/workloads.py`` passes ``threads=1``.
     """
+    if threads != 1:
+        raise ValueError(f"runs execute serially; threads must be 1, got {threads}")
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if problem.known_solution is None:
@@ -407,26 +416,17 @@ def success_rate(
     if not tol_inf > 0:
         raise ValueError(f"tol_inf must be > 0, got {tol_inf}")
     x_star = problem.known_solution
-
-    def one(i: int) -> RunOutcome:
-        cfg = replace(config, seed=config.seed + i)
-        trace = run(problem, cfg)
+    outcomes = []
+    for i in range(n_runs):
+        trace = run(problem, replace(config, seed=config.seed + i))
         final = trace.final_consensus
         dist = float(np.max(np.abs(final - x_star))) if np.all(np.isfinite(final)) else np.inf
-        return RunOutcome(
-            seed=cfg.seed,
+        outcomes.append(RunOutcome(
+            seed=config.seed + i,
             success=not trace.aborted and success_check(final, x_star, tol_inf),
             aborted=trace.aborted,
             distance_inf=dist,
             final_beta=trace.final_beta,
-        )
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = tuple(pool.map(one, range(n_runs)))
-    else:
-        outcomes = tuple(one(i) for i in range(n_runs))
+        ))
     rate = sum(o.success for o in outcomes) / n_runs
-    return SuccessStats(rate=rate, outcomes=outcomes)
+    return SuccessStats(rate=rate, outcomes=tuple(outcomes))

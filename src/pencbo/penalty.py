@@ -151,22 +151,25 @@ def ensemble_violation(
     return violation_gibbs(penalties, objectives + beta * penalties, alpha)
 
 
-_THETA_MAX = float(np.finfo(np.float64).max)
+_BOUND = float(np.finfo(np.float64).max)
 
 
 def controller_step(controller: PenaltyController, violation: float) -> tuple[PenaltyController, bool]:
     """Advance the controller by one observed violation.
 
     Passed check (violation <= 1/sqrt(theta)): tolerance tightens,
-    theta <- eta_theta * theta (saturating at the largest finite float),
-    beta holds (or shrinks, in the decreasing mode before any violation
-    has occurred).  Failed check: beta <-
+    theta <- eta_theta * theta, beta holds (or shrinks, in the decreasing
+    mode before any violation has occurred).  Failed check: beta <-
     eta_beta * beta and theta <- max(theta / eta_theta, theta0), so the
     tolerance relaxes one notch per failure but is capped at its initial
-    value 1/sqrt(theta0).  Returns (next state, passed).
+    value 1/sqrt(theta0).  beta and theta saturate at the largest finite
+    float, and a shrinking beta at its reciprocal.  Returns (next state,
+    passed); a non-finite violation raises FloatingPointError.
     """
-    if not np.isfinite(violation) or violation < 0:
-        raise ValueError(f"violation must be finite and >= 0, got {violation}")
+    if not np.isfinite(violation):
+        raise FloatingPointError(f"violation must be finite, got {violation}")
+    if violation < 0:
+        raise ValueError(f"violation must be >= 0, got {violation}")
     passed = violation <= controller.tolerance
     if passed:
         beta = controller.beta
@@ -174,13 +177,13 @@ def controller_step(controller: PenaltyController, violation: float) -> tuple[Pe
             controller.mode is ControllerMode.DECREASE_UNTIL_FIRST_VIOLATION
             and not controller.has_violated
         ):
-            beta = controller.beta / controller.eta_beta
-        theta = min(controller.theta * controller.eta_theta, _THETA_MAX)
+            beta = max(controller.beta / controller.eta_beta, 1.0 / _BOUND)
+        theta = min(controller.theta * controller.eta_theta, _BOUND)
         nxt = replace(controller, beta=beta, theta=theta)
     else:
         nxt = replace(
             controller,
-            beta=controller.beta * controller.eta_beta,
+            beta=min(controller.beta * controller.eta_beta, _BOUND),
             theta=max(controller.theta / controller.eta_theta, controller.theta0),
             has_violated=True,
         )

@@ -192,9 +192,14 @@ def _to_z(x: np.ndarray) -> np.ndarray:
     return (x - _SHIFT2D) @ _ROT.T
 
 
+def _g_term(z: np.ndarray) -> np.ndarray:
+    """The per-coordinate term z^2 - 10 cos(2 pi z) of g, elementwise."""
+    return z**2 - 10.0 * np.cos(2.0 * np.pi * z)
+
+
 def _g_of_z(z: np.ndarray) -> np.ndarray:
     """The rastrigin2d constraint g at constraint-frame rows z."""
-    return 0.5 * np.sum(z**2 - 10.0 * np.cos(2.0 * np.pi * z), axis=1) + 5.0
+    return 0.5 * np.sum(_g_term(z), axis=1) + 5.0
 
 
 @_rowwise
@@ -222,25 +227,16 @@ _field_cache: dict[str, np.ndarray] = {}
 
 
 def _distance_field() -> np.ndarray:
-    field = _field_cache.get("field")
-    if field is not None:
-        return field
     with _field_lock:
-        field = _field_cache.get("field")
-        if field is not None:
-            return field
-        from scipy.ndimage import distance_transform_edt
+        if "field" not in _field_cache:
+            from scipy.ndimage import distance_transform_edt
 
-        axis = np.linspace(_GRID_LO, _GRID_HI, _GRID_N)
-        z1, z2 = np.meshgrid(axis, axis, indexing="ij")
-        g = 0.5 * (
-            z1**2 - 10.0 * np.cos(2.0 * np.pi * z1)
-            + z2**2 - 10.0 * np.cos(2.0 * np.pi * z2)
-        ) + 5.0
-        infeasible = g > 0.0
-        field = (distance_transform_edt(infeasible) * _GRID_H).astype(np.float32)
-        _field_cache["field"] = field
-        return field
+            # g is separable: node (i, j) sums t[i] + t[j], as _g_of_z sums a row
+            t = _g_term(np.linspace(_GRID_LO, _GRID_HI, _GRID_N))
+            infeasible = 0.5 * (t[:, None] + t[None, :]) + 5.0 > 0.0
+            edt = distance_transform_edt(infeasible)
+            _field_cache["field"] = (edt * _GRID_H).astype(np.float32)
+        return _field_cache["field"]
 
 
 def _distance_to_feasible(z: np.ndarray) -> np.ndarray:

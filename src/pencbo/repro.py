@@ -139,7 +139,7 @@ def _trace_figures(figure: str, out_dir: str, seed: int,
 
 
 def _beta0_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
-                 n_particles: Optional[int], threads: int) -> list[str]:
+                 n_particles: Optional[int]) -> list[str]:
     surfaces = FIGURE_PARAMETERS[figure]["problem"].split(",")
     row = FIGURE_PARAMETERS[figure]
     variants = (
@@ -158,8 +158,7 @@ def _beta0_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
                 for beta0 in BETA0_GRID:
                     config = _config(row, seed, n_particles,
                                      beta0=beta0, check=check, mode=mode)
-                    stats = success_rate(problem, config, n_runs, tol_inf=0.1,
-                                         threads=threads)
+                    stats = success_rate(problem, config, n_runs, tol_inf=0.1)
                     med = float(np.median([o.final_beta for o in stats.outcomes]))
                     fh.write(f"{name},{label},{beta0!r},{stats.rate!r},{med!r},{stats.n_aborted}\n")
                     results.append(dict(problem=name, variant=label, beta0=beta0,
@@ -171,7 +170,7 @@ def _beta0_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
 
 
 def _sigma_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
-                 n_particles: Optional[int], threads: int) -> list[str]:
+                 n_particles: Optional[int]) -> list[str]:
     row = FIGURE_PARAMETERS[figure]
     kind = DiffusionKind.ISOTROPIC if figure == "fig7" else DiffusionKind.ANISOTROPIC
     table_path = os.path.join(out_dir, f"{figure}_success.csv")
@@ -182,8 +181,7 @@ def _sigma_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
             problem, _ = make_random_qp(d, QP_INSTANCE_SEED)
             for sigma in SIGMA_GRID:
                 config = _config(row, seed, n_particles, sigma=sigma, diffusion=kind)
-                stats = success_rate(problem, config, n_runs, tol_inf=0.25,
-                                     threads=threads)
+                stats = success_rate(problem, config, n_runs, tol_inf=0.25)
                 fh.write(f"{d},{sigma!r},{stats.rate!r},{stats.n_aborted}\n")
                 results.append(dict(d=d, sigma=sigma, rate=stats.rate,
                                     n_aborted=stats.n_aborted))
@@ -195,8 +193,7 @@ def _sigma_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
 
 
 def reproduce(figure: str, out_dir: str, seed: int = 0,
-              n_particles: Optional[int] = None, n_runs: Optional[int] = None,
-              threads: int = 1) -> list[str]:
+              n_particles: Optional[int] = None, n_runs: Optional[int] = None) -> list[str]:
     """Write the plot-ready data files for one figure; returns the paths."""
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
@@ -204,5 +201,5 @@ def reproduce(figure: str, out_dir: str, seed: int = 0,
     if figure in ("fig1", "fig2", "fig4"):
         return _trace_figures(figure, out_dir, seed, n_particles)
     if figure in ("fig5", "fig6"):
-        return _beta0_sweep(figure, out_dir, seed, n_runs or 100, n_particles, threads)
-    return _sigma_sweep(figure, out_dir, seed, n_runs or 100, n_particles, threads)
+        return _beta0_sweep(figure, out_dir, seed, n_runs or 100, n_particles)
+    return _sigma_sweep(figure, out_dir, seed, n_runs or 100, n_particles)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -35,6 +37,21 @@ def make_quadratic_bowl(d: int = 3, center=None) -> pc.Problem:
         init=pc.InitSpec.uniform(-3.0, 3.0),
         known_solution=center,
     )
+
+
+def score_separately(problem: pc.Problem, config: pc.RunConfig, n_runs: int,
+                     tol_inf: float) -> tuple:
+    """The outcomes success_rate must report, scored from each seed's own run."""
+    x_star = problem.known_solution
+    outcomes = []
+    for seed in range(config.seed, config.seed + n_runs):
+        trace = pc.run(problem, replace(config, seed=seed))
+        final = trace.final_consensus
+        dist = float(np.max(np.abs(final - x_star))) if np.all(np.isfinite(final)) else np.inf
+        outcomes.append(pc.RunOutcome(
+            seed=seed, success=not trace.aborted and dist <= tol_inf,
+            aborted=trace.aborted, distance_inf=dist, final_beta=trace.final_beta))
+    return tuple(outcomes)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ import pytest
 import pencbo as pc
 from pencbo.dynamics import DiffusionKind
 from pencbo.repro import SIGMA_GRID
+from conftest import score_separately
 from test_qp import solve_by_active_set_enumeration
 
 THREADS = 4
@@ -124,7 +125,7 @@ def test_criterion_4_sphere_success_profile(capsys):
             seed=0,
             check=pc.FeasibilityCheck.GIBBS,
         )
-        return pc.success_rate(problem, cfg, 100, tol_inf=0.1, threads=THREADS).rate
+        return pc.success_rate(problem, cfg, 100, tol_inf=0.1).rate
 
     increasing = {b: rate_for(b, pc.ControllerMode.INCREASE_ONLY)
                   for b in (1e-3, 1e-1, 1.0)}
@@ -154,8 +155,7 @@ def test_criterion_5_anisotropic_advantage_on_qp(capsys):
                 seed=0,
                 check=pc.FeasibilityCheck.GIBBS,
             )
-            rates.append(pc.success_rate(problem, cfg, 25, tol_inf=0.25,
-                                         threads=THREADS).rate)
+            rates.append(pc.success_rate(problem, cfg, 25, tol_inf=0.25).rate)
         best[kind] = max(rates)
     ok = (best[DiffusionKind.ANISOTROPIC] >= 0.8
           and best[DiffusionKind.ANISOTROPIC] >= best[DiffusionKind.ISOTROPIC] - 0.05)
@@ -247,9 +247,8 @@ def test_criterion_8_core_invariants_inline(quadratic_bowl, capsys):
         replay, _ = pc.controller_step(replay, trace.violation[i])
     checks["trace-replay"] = bool(consistent and trace.final_beta == replay.beta)
 
-    single = pc.success_rate(quadratic_bowl, config, 8, tol_inf=2.0, threads=1)
-    pooled = pc.success_rate(quadratic_bowl, config, 8, tol_inf=2.0, threads=4)
-    checks["thread-determinism"] = single.outcomes == pooled.outcomes
+    stats = pc.success_rate(quadratic_bowl, config, 8, tol_inf=2.0)
+    checks["separate-runs"] = stats.outcomes == score_separately(quadratic_bowl, config, 8, 2.0)
 
     failed = sorted(name for name, good in checks.items() if not good)
     report(capsys, "criterion 8 (unit and property invariants)",

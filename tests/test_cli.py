@@ -187,19 +187,13 @@ class TestSweep:
         assert rc == 2
         assert fragment in capsys.readouterr().err
 
-    def test_threads_env_matches_flag(self, tmp_path, capsys, monkeypatch):
+    def test_threads_flag_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", **TINY,
                           sweep={"beta0": [0.1]}, n_runs=4, tol_inf=5.0)
-        assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "flag"),
-                     "--threads", "3"]) == 0
-        monkeypatch.setenv("CBO_THREADS", "3")
-        assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "env")]) == 0
-        capsys.readouterr()
-        with open(tmp_path / "flag" / "test1_sweep.csv") as fh:
-            from_flag = fh.read()
-        with open(tmp_path / "env" / "test1_sweep.csv") as fh:
-            from_env = fh.read()
-        assert from_flag == from_env
+        assert main(["sweep", "--spec", spec, "--out", str(tmp_path),
+                     "--threads", "3"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "test1_sweep.csv")
 
 
 class TestReproduce:

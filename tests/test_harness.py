@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pencbo as pc
-from conftest import make_quadratic_bowl
+from conftest import make_quadratic_bowl, score_separately
 from pencbo import harness
 from pencbo.penalty import controller_step
 from pencbo.rng import batch_stream
@@ -52,7 +52,7 @@ class TestDeterminism:
         b = pc.run(problem, replace(small_run_config, seed=small_run_config.seed + 1))
         assert not np.array_equal(a.consensus, b.consensus)
 
-    def test_success_rate_independent_of_thread_count(self, quadratic_bowl):
+    def test_success_rate_matches_separate_runs(self, quadratic_bowl):
         config = pc.RunConfig(
             params=pc.CboParams(lam=1.0, sigma=0.5, dt=0.05),
             controller=pc.PenaltyController.fresh(beta0=1.0, theta0=4.0),
@@ -60,11 +60,12 @@ class TestDeterminism:
             n_iterations=40,
             seed=100,
         )
-        serial = pc.success_rate(quadratic_bowl, config, n_runs=8, tol_inf=0.5, threads=1)
-        pooled = pc.success_rate(quadratic_bowl, config, n_runs=8, tol_inf=0.5, threads=4)
-        assert serial.rate == pooled.rate
-        for a, b in zip(serial.outcomes, pooled.outcomes):
-            assert a == b
+        # at tol_inf 0.12 some seeds succeed and some fail
+        stats = pc.success_rate(quadratic_bowl, config, n_runs=8, tol_inf=0.12)
+        expected = score_separately(quadratic_bowl, config, 8, 0.12)
+        assert stats.outcomes == expected
+        assert stats.rate == sum(o.success for o in expected) / 8
+        assert 0 < stats.rate < 1
 
     def test_record_particles_matches_positions_replay(self, small_run_config):
         problem = pc.make_test1()
@@ -215,6 +216,18 @@ class TestAbort:
         assert "iteration" in trace.abort_reason
         assert trace.n_recorded < 50
 
+    def test_nonfinite_objective_value_aborts(self, quadratic_bowl, small_run_config):
+        # a NaN value is numerical, not a contract breach: the run aborts
+        def objective(x):
+            vals = quadratic_bowl.objective(x)
+            vals[0] = np.nan
+            return vals
+
+        trace = pc.run(replace(quadratic_bowl, objective=objective), small_run_config)
+        assert trace.aborted
+        assert trace.abort_reason == "iteration 0: consensus values must be finite"
+        assert np.all(np.isnan(trace.final_consensus))
+
     def test_aborted_runs_count_as_failures(self, quadratic_bowl):
         config = pc.RunConfig(
             params=pc.CboParams(lam=1.0, sigma=1e150, dt=1.0),
@@ -241,10 +254,22 @@ class TestProblemContract:
             pc.run(self.column_bowl(), small_run_config)
 
     def test_wrong_shape_objective_raises_in_success_rate(self, small_run_config):
-        for threads in (1, 2):
-            with pytest.raises(ValueError, match="quadratic-bowl-3d"):
-                pc.success_rate(self.column_bowl(), small_run_config, n_runs=2,
-                                tol_inf=0.5, threads=threads)
+        with pytest.raises(ValueError, match="quadratic-bowl-3d"):
+            pc.success_rate(self.column_bowl(), small_run_config, n_runs=2, tol_inf=0.5)
+
+    def test_shape_turning_wrong_mid_run_raises(self, small_run_config):
+        # the objective turns (n, 1) at its fifth call, iteration 3
+        bowl = make_quadratic_bowl()
+        calls = []
+
+        def objective(x):
+            calls.append(1)
+            vals = bowl.objective(x)
+            return vals[:, None] if len(calls) > 4 else vals
+
+        with pytest.raises(ValueError, match=r"'quadratic-bowl-3d': objective .* got \(16, 1\)"):
+            pc.run(replace(bowl, objective=objective), small_run_config)
+        assert len(calls) == 5
 
     def test_wrong_shape_penalty_raises(self, quadratic_bowl, small_run_config):
         scalar = replace(quadratic_bowl, penalty=lambda x: 0.0)
@@ -268,6 +293,38 @@ class TestLongRuns:
         assert trace.n_recorded == 2000
         assert np.all(np.isfinite(trace.theta))
         assert trace.theta[-1] == np.finfo(float).max
+
+    def test_beta_saturates_instead_of_aborting(self, quadratic_bowl):
+        # r == 1 fails every check, so beta grows by 1.5 per iteration and
+        # would pass the largest float near iteration 1750
+        ones = replace(quadratic_bowl, penalty=lambda x: np.ones(len(x)))
+        config = pc.RunConfig(
+            params=pc.CboParams(lam=1.0, sigma=0.5, dt=0.05),
+            controller=pc.PenaltyController.fresh(beta0=1.0, theta0=4.0, eta_beta=1.5),
+            n_particles=16,
+            n_iterations=3000,
+            seed=7,
+        )
+        trace = pc.run(ones, config)
+        assert not trace.aborted, trace.abort_reason
+        assert trace.n_recorded == 3000
+        assert trace.final_beta == np.finfo(float).max
+
+    def test_decreasing_beta_stays_positive(self, quadratic_bowl):
+        # r == 0 passes every check, so the decreasing mode divides beta by
+        # 2.5 per iteration, which would round to 0 near iteration 810
+        config = pc.RunConfig(
+            params=pc.CboParams(lam=1.0, sigma=0.5, dt=0.05),
+            controller=pc.PenaltyController.fresh(
+                beta0=1.0, theta0=4.0, eta_beta=2.5,
+                mode=pc.ControllerMode.DECREASE_UNTIL_FIRST_VIOLATION),
+            n_particles=16,
+            n_iterations=1000,
+            seed=7,
+        )
+        trace = pc.run(quadratic_bowl, config)
+        assert not trace.aborted, trace.abort_reason
+        assert trace.final_beta == 1.0 / np.finfo(float).max
 
 
 class TestSuccessScoring:
@@ -304,6 +361,11 @@ class TestSuccessScoring:
         )
         with pytest.raises(ValueError, match="known solution"):
             pc.success_rate(nameless, small_run_config, n_runs=1, tol_inf=0.1)
+
+    def test_rejects_more_than_one_thread(self, quadratic_bowl, small_run_config):
+        with pytest.raises(ValueError, match="threads must be 1, got 2"):
+            pc.success_rate(quadratic_bowl, small_run_config, n_runs=2, tol_inf=0.5,
+                            threads=2)
 
     @pytest.mark.parametrize("tol_inf", [0.0, -1.0])
     def test_rejects_nonpositive_tolerance(self, quadratic_bowl, small_run_config, tol_inf):

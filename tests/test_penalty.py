@@ -115,7 +115,7 @@ class TestControllerValidation:
         c = fresh()
         with pytest.raises(ValueError):
             controller_step(c, -0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             controller_step(c, float("nan"))
 
     def test_tolerance_property(self):

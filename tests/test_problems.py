@@ -70,6 +70,22 @@ class TestRastrigin2d:
         np.testing.assert_array_equal(r[g <= 0], 0.0)
         assert np.all(r[g > 1.0] > 0)
 
+    def test_distance_field_zero_exactly_on_feasible_nodes(self):
+        # grid node (i, j) is the z-frame point (LO + i h, LO + j h); map it
+        # back to x through the inverse rotation and compare with g there
+        from pencbo.problems import _GRID_H, _GRID_LO, _GRID_N, _ROT, _SHIFT2D, _distance_field
+        rng = np.random.default_rng(13)
+        disc = np.arange(_GRID_N // 2 - 80, _GRID_N // 2 + 81)  # around z = (0, 0)
+        idx = np.concatenate([
+            rng.integers(0, _GRID_N, size=(20000, 2)),
+            np.stack(np.meshgrid(disc, disc, indexing="ij"), axis=-1).reshape(-1, 2),
+        ])
+        x = (_GRID_LO + idx * _GRID_H) @ _ROT + _SHIFT2D
+        zero = _distance_field()[idx[:, 0], idx[:, 1]] == 0.0
+        feasible = rastrigin2d_constraint(x) <= 0.0
+        assert 0 < zero.sum() < len(zero)
+        np.testing.assert_array_equal(zero, feasible)
+
     def test_penalty_underestimates_distance_to_any_feasible_point(self):
         # r approximates dist(x, feasible set) from below, so it can never
         # exceed the distance to one particular feasible point.
