@@ -32,12 +32,16 @@ def main() -> int:
     parser.add_argument("--published", action="store_true",
                         help="full-size sweeps (500 runs) and panels (1e6 particles)")
     args = parser.parse_args()
+    for flag, value in (("--runs", args.runs), ("--particles", args.particles)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
 
     for figure in args.figures:
         n_runs = args.runs
         n_particles = args.particles
         if args.published:
-            n_runs = n_runs or 500
+            if n_runs is None:
+                n_runs = 500
             if figure == "fig4" and n_particles is None:
                 n_particles = 1_000_000
         start = time.time()

@@ -9,7 +9,14 @@ snapshot, so two checkouts that print the same lines produce bit-identical
 runs.  Only the public API is used, so the script runs unchanged against
 older versions of the package.
 
-Usage (takes about 10 s):
+The 448 cases run twice.  The first block uses alpha = 1e6, where the
+consensus is the best particle bit for bit, and ends with the line
+"all 448 cases <total>".  The second block repeats the cases at
+alpha = 1.0, where every weight counts, so a last-bit change in an
+objective or penalty value reaches the hashes; its lines start with
+"alpha=1.0".
+
+Usage (takes about 20 s):
     PYTHONPATH=src python3 scripts/trace_hashes.py > hashes.txt
     diff hashes_before.txt hashes_after.txt
 """
@@ -53,7 +60,7 @@ def fingerprint(trace) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
+def block(alpha: float, prefix: str) -> None:
     total = hashlib.sha256()
     count = 0
     for (name, problem), diffusion, (label, batch), check, mode, seed in itertools.product(
@@ -61,7 +68,7 @@ def main() -> int:
         pc.ControllerMode, SEEDS,
     ):
         config = pc.RunConfig(
-            params=pc.CboParams(lam=1.0, sigma=0.8, dt=0.05, alpha=1e6, diffusion=diffusion),
+            params=pc.CboParams(lam=1.0, sigma=0.8, dt=0.05, alpha=alpha, diffusion=diffusion),
             controller=pc.PenaltyController.fresh(beta0=5.0, theta0=0.1, mode=mode),
             n_particles=N_PARTICLES,
             n_iterations=N_ITERATIONS,
@@ -73,8 +80,13 @@ def main() -> int:
         digest = fingerprint(pc.run(problem, config))
         total.update(digest.encode())
         count += 1
-        print(f"{name} {diffusion.value} {label} {check.value} {mode.value} {seed} {digest}")
-    print(f"all {count} cases {total.hexdigest()}")
+        print(f"{prefix}{name} {diffusion.value} {label} {check.value} {mode.value} {seed} {digest}")
+    print(f"{prefix}all {count} cases {total.hexdigest()}")
+
+
+def main() -> int:
+    block(1e6, "")
+    block(1.0, "alpha=1.0 ")
     return 0
 
 

@@ -31,9 +31,6 @@ from .penalty import (
     PenaltyController,
     controller_step,
     ensemble_violation,
-    penalty_value,
-    violation_gibbs,
-    violation_plain_mean,
 )
 from .problems import (
     InitSpec,
@@ -78,9 +75,6 @@ __all__ = [
     "PenaltyController",
     "controller_step",
     "ensemble_violation",
-    "penalty_value",
-    "violation_gibbs",
-    "violation_plain_mean",
     "InitSpec",
     "PROBLEMS",
     "Problem",

@@ -140,16 +140,22 @@ def cmd_sweep(args) -> int:
     for name in names:
         if not isinstance(axes[name], list) or not axes[name]:
             raise SpecError(f"sweep.{name}: expected a non-empty list")
+    combos = list(itertools.product(*(axes[name] for name in names)))
+    try:
+        n_runs = int(spec["n_runs"])
+        tol = float(spec["tol_inf"])
+        points = [[float(v) for v in combo] for combo in combos]
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"invalid spec value: {exc}") from exc
+    if n_runs < 1:
+        raise SpecError(f"n_runs must be >= 1, got {n_runs}")
+    if not tol > 0:
+        raise SpecError(f"tol_inf must be > 0, got {tol}")
+    # all configs are built first, so a bad value at any point fails before a run
+    configs = [_build_config({**spec, **dict(zip(names, point))}) for point in points]
     out = _out_dir(args)
-    n_runs = int(spec["n_runs"])
-    tol = float(spec["tol_inf"])
-    rows = []
-    for combo in itertools.product(*(axes[name] for name in names)):
-        point = dict(spec)
-        point.update(dict(zip(names, (float(v) for v in combo))))
-        config = _build_config(point)
-        stats = success_rate(problem, config, n_runs, tol)
-        rows.append((combo, stats))
+    rows = [(combo, success_rate(problem, config, n_runs, tol))
+            for combo, config in zip(combos, configs)]
     table_path = os.path.join(out, f"{problem.name}_sweep.csv")
     with open(table_path, "w") as fh:
         fh.write(",".join(names) + ",success_rate,n_aborted\n")
@@ -179,6 +185,9 @@ def cmd_reproduce(args) -> int:
         raise SpecError("reproduce: --figure is required")
     if args.figure not in FIGURES:
         raise SpecError(f"reproduce: unknown figure {args.figure!r}; known: {FIGURES}")
+    for flag, value in (("--particles", args.particles), ("--runs", args.runs)):
+        if value is not None and value < 1:
+            raise SpecError(f"reproduce: {flag} must be >= 1, got {value}")
     paths = reproduce(
         args.figure, _out_dir(args), seed=args.seed or 0,
         n_particles=args.particles, n_runs=args.runs,

@@ -171,13 +171,13 @@ def euler_maruyama_step(
     return ParticleEnsemble(new)
 
 
-def variance_functional(ensemble: ParticleEnsemble, reference: np.ndarray) -> float:
-    """Half the mean squared distance to a reference point.
+def variance_functional(positions: np.ndarray, reference: np.ndarray) -> float:
+    """Half the mean squared distance of the (n, d) rows to a reference point.
 
     The Lyapunov quantity of the contraction analysis; decays like
     exp(-(lam - d*sigma^2/2) t) toward a fixed reference when the decay
     condition 2*lam > d*sigma^2 holds.
     """
     reference = np.asarray(reference, dtype=np.float64)
-    diff = ensemble.positions - reference[None, :]
+    diff = positions - reference[None, :]
     return float(0.5 * np.mean(np.sum(diff * diff, axis=1)))

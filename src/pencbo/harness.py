@@ -27,6 +27,7 @@ from .penalty import (
     ControllerMode,
     FeasibilityCheck,
     PenaltyController,
+    _merit,
     controller_step,
     ensemble_violation,
 )
@@ -208,30 +209,38 @@ class RunTrace:
 
 
 def batched_consensus(
-    ensemble: ParticleEnsemble,
+    positions: np.ndarray,
     values: np.ndarray,
     alpha: float,
     spec: BatchSpec,
     rng: np.random.Generator,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Consensus restricted to batches; returns (indices, point) pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(target, recorded): what the step moves the (n, d) rows toward, and
+    the (d,) consensus point the trace keeps.
 
-    Random subset: one pair over M indices sampled without replacement
-    (M = N reduces to the full consensus).  Partition: a seeded shuffle
-    split into S equal batches, one pair per batch, each point confined to
-    its own batch's coordinate hull.
+    Random subset: the consensus of M rows drawn without replacement is
+    recorded; with update scope "all" every row targets it, with "batch"
+    only the drawn rows do and the others target their own positions.
+    Partition: each batch of a seeded shuffle into S equal batches targets
+    its own consensus point, inside that batch's coordinate hull, and the
+    full-ensemble consensus is recorded.
     """
-    spec.validate_for(ensemble.n)
+    n = positions.shape[0]
+    spec.validate_for(n)
     values = np.asarray(values, dtype=np.float64)
     if spec.kind == "random_subset":
-        batches = [rng.choice(ensemble.n, size=spec.size, replace=False)]
-    else:
-        batches = rng.permutation(ensemble.n).reshape(spec.size, ensemble.n // spec.size)
-    out = []
-    for rows in batches:
+        rows = np.sort(rng.choice(n, size=spec.size, replace=False))
+        point = consensus_raw(positions[rows], values[rows], alpha)
+        if spec.update_scope == "all":
+            return point, point
+        target = positions.copy()
+        target[rows] = point
+        return target, point
+    target = positions.copy()
+    for rows in rng.permutation(n).reshape(spec.size, n // spec.size):
         rows = np.sort(rows)
-        out.append((rows, consensus_raw(ensemble.positions[rows], values[rows], alpha)))
-    return out
+        target[rows] = consensus_raw(positions[rows], values[rows], alpha)
+    return target, consensus_raw(positions, values, alpha)
 
 
 def _evaluate(problem: Problem, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,11 +266,9 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
     raises, e.g. ValueError when, at any iteration, the objective or
     penalty does not map the (n, d) ensemble to shape (n,).
 
-    Every iteration makes one step toward a consensus target.  Without
-    batching, and for a random subset with update scope "all", that target
-    is the single (sub)set consensus point.  Otherwise each particle gets
-    its batch's point, and a particle outside the sampled subset gets its
-    own position, so it does not move.
+    Every iteration makes one step toward a consensus target: without
+    batching the consensus point, and with batching the target that
+    ``batched_consensus`` builds.
     """
     n, d, K = config.n_particles, problem.dim, config.n_iterations
     params, alpha, batch = config.params, config.params.alpha, config.batch
@@ -294,24 +301,14 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
 
     for k in range(K):
         try:
-            merit = j_vals + ctrl.beta * r_vals
+            merit = _merit(j_vals, r_vals, ctrl.beta)
             noise = noise_normals(config.seed, k, n, d)
             if batch is None:
                 target = recorded = consensus_raw(ensemble.positions, merit, alpha)
             else:
-                pairs = batched_consensus(
-                    ensemble, merit, alpha, batch, batch_stream(config.seed, k)
+                target, recorded = batched_consensus(
+                    ensemble.positions, merit, alpha, batch, batch_stream(config.seed, k)
                 )
-                if batch.kind == "partition":
-                    recorded = consensus_raw(ensemble.positions, merit, alpha)
-                else:
-                    recorded = pairs[0][1]
-                if batch.kind == "random_subset" and batch.update_scope == "all":
-                    target = recorded
-                else:
-                    target = ensemble.positions.copy()
-                    for rows, point in pairs:
-                        target[rows] = point
             ensemble = euler_maruyama_step(ensemble, target, params, noise)
 
             j_vals, r_vals = _evaluate(problem, ensemble.positions)
@@ -325,7 +322,7 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
             tol_arr[k] = ctrl.tolerance
             cons_arr[k] = recorded
             if ref is not None:
-                v_arr[k] = variance_functional(ensemble, ref)
+                v_arr[k] = variance_functional(ensemble.positions, ref)
             ctrl, passed = controller_step(ctrl, violation)
             pass_arr[k] = passed
             if snapshots is not None:
@@ -337,7 +334,9 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
             break
 
     try:
-        final_consensus = consensus_raw(ensemble.positions, j_vals + ctrl.beta * r_vals, alpha)
+        final_consensus = consensus_raw(
+            ensemble.positions, _merit(j_vals, r_vals, ctrl.beta), alpha
+        )
     except FloatingPointError:
         final_consensus = np.full(d, np.nan)
 

@@ -17,22 +17,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import _gibbs_weights
 
-if TYPE_CHECKING:
-    from .problems import Problem
-
 __all__ = [
     "FeasibilityCheck",
     "ControllerMode",
     "PenaltyController",
-    "penalty_value",
-    "violation_plain_mean",
-    "violation_gibbs",
+    "ensemble_violation",
     "controller_step",
 ]
 
@@ -108,33 +102,14 @@ class PenaltyController:
         return 1.0 / np.sqrt(self.theta)
 
 
-def penalty_value(problem: "Problem", x: np.ndarray, beta: float) -> np.ndarray:
-    """P(x, beta) = j(x) + beta * r(x), vectorized over rows of x."""
-    return problem.objective(x) + beta * problem.penalty(x)
-
-
-def violation_plain_mean(penalties: np.ndarray) -> float:
-    """Unweighted ensemble average of the penalty values r(x_i)."""
-    penalties = np.asarray(penalties, dtype=np.float64)
-    return float(penalties.mean())
-
-
-def violation_gibbs(
-    penalties: np.ndarray,
-    merit_values: np.ndarray,
-    alpha: float,
-) -> float:
-    """Gibbs-weighted average of r(x_i), weights exp(-alpha * P(x_i, beta)).
-
-    Concentrates the check on the particles currently steering the
-    consensus point.  With alpha = 0 it reduces to the plain mean.
-    """
-    penalties = np.asarray(penalties, dtype=np.float64)
-    merit_values = np.asarray(merit_values, dtype=np.float64)
-    if penalties.shape != merit_values.shape:
-        raise ValueError("penalties and merit_values must have matching shapes")
-    w = _gibbs_weights(merit_values, alpha)
-    return float((penalties * w).sum() / w.sum())
+def _merit(objectives: np.ndarray, penalties: np.ndarray, beta: float) -> np.ndarray:
+    """The merit P = j + beta * r of each particle.  An overflow raises
+    FloatingPointError naming beta, so a run aborts for that reason."""
+    with np.errstate(over="raise"):
+        try:
+            return objectives + beta * penalties
+        except FloatingPointError:
+            raise FloatingPointError(f"merit j + beta*r overflowed at beta={beta!r}") from None
 
 
 def ensemble_violation(
@@ -145,10 +120,21 @@ def ensemble_violation(
     check: FeasibilityCheck,
 ) -> float:
     """Aggregate infeasibility of the ensemble under the selected check,
-    from the values r(x_i), j(x_i) the run loop already holds."""
+    from the values r(x_i), j(x_i) the run loop already holds.
+
+    PLAIN_MEAN is the unweighted mean of r.  GIBBS weights r(x_i) by
+    exp(-alpha * P(x_i, beta)), concentrating the check on the particles
+    currently steering the consensus point; with alpha = 0 it is the plain
+    mean.
+    """
+    penalties = np.asarray(penalties, dtype=np.float64)
+    objectives = np.asarray(objectives, dtype=np.float64)
+    if penalties.shape != objectives.shape:
+        raise ValueError("penalties and objectives must have matching shapes")
     if check is FeasibilityCheck.PLAIN_MEAN:
-        return violation_plain_mean(penalties)
-    return violation_gibbs(penalties, objectives + beta * penalties, alpha)
+        return float(penalties.mean())
+    w = _gibbs_weights(_merit(objectives, penalties, beta), alpha)
+    return float((penalties * w).sum() / w.sum())
 
 
 _BOUND = float(np.finfo(np.float64).max)

@@ -90,10 +90,9 @@ class Problem:
     """A constrained minimization task packaged for the particle harness.
 
     ``objective`` and ``penalty`` follow the row-vectorized contract above.
-    ``constraint`` optionally exposes the raw constraint function g (r then
-    vanishes exactly where g <= 0).  ``known_solution``/``known_beta_bar``
-    are populated where the minimizer or the exactness threshold of the
-    penalty weight is available in closed or polished form.
+    ``known_solution``/``known_beta_bar`` are populated where the minimizer
+    or the exactness threshold of the penalty weight is available in closed
+    or polished form.
     """
 
     name: str
@@ -103,7 +102,6 @@ class Problem:
     init: InitSpec
     known_solution: Optional[np.ndarray] = None
     known_beta_bar: Optional[float] = None
-    constraint: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -116,12 +114,6 @@ class Problem:
                 )
             sol.flags.writeable = False
             object.__setattr__(self, "known_solution", sol)
-
-    def is_feasible(self, x: np.ndarray, tol: float = 1e-9):
-        """Feasibility predicate; uses g <= tol where g is exposed, else r <= tol."""
-        if self.constraint is not None:
-            return self.constraint(x) <= tol
-        return self.penalty(x) <= tol
 
 
 def _rowwise(f: Callable[[np.ndarray], np.ndarray]):
@@ -150,16 +142,12 @@ def _quartic(u: np.ndarray) -> np.ndarray:
 def make_test1() -> Problem:
     """1D double-well with the box constraint x >= -1.5.
 
-    The objective x^4/5 - 2x^2 + x + 10 has its global minimum near
-    x = -2.3519, outside the feasible half-line, so the constrained
-    solution sits on the boundary at x = -1.5.  The penalty is the
+    The objective x^4/5 - 2x^2 + x + 10, which is ``make_j1(1)``, has its
+    global minimum near x = -2.3519, outside the feasible half-line, so the
+    constrained solution sits on the boundary at x = -1.5.  The penalty is the
     constraint residual max(0, -x - 1.5); the derivative of the objective
     at the boundary makes the penalty exact precisely for beta >= 4.3.
     """
-
-    @_rowwise
-    def objective(x):
-        return _quartic(x[:, 0]) + 10.0
 
     @_rowwise
     def penalty(x):
@@ -168,7 +156,7 @@ def make_test1() -> Problem:
     return Problem(
         name="test1",
         dim=1,
-        objective=objective,
+        objective=make_j1(1),
         penalty=penalty,
         init=InitSpec.gaussian(0.0, 1.0),
         known_solution=np.array([-1.5]),
@@ -294,7 +282,6 @@ def make_rastrigin2d() -> Problem:
         penalty=penalty,
         init=InitSpec.uniform(-3.0, 3.0),
         known_solution=RASTRIGIN2D_SOLUTION,
-        constraint=rastrigin2d_constraint,
     )
 
 
@@ -319,11 +306,10 @@ def make_j1(d: int) -> Callable[[np.ndarray], np.ndarray]:
     return objective
 
 
-def make_j2(d: int = 5) -> Callable[[np.ndarray], np.ndarray]:
+def make_j2() -> Callable[[np.ndarray], np.ndarray]:
     """Ackley objective shifted to have its global minimum (value 0) at
-    the rational point ACKLEY_SHIFT; defined only in d=5."""
-    if d != 5:
-        raise ValueError(f"the shifted Ackley objective is 5-dimensional, got d={d}")
+    the rational point ACKLEY_SHIFT; defined only in d=5, and other
+    dimensions raise ValueError."""
 
     @_rowwise
     def objective(x):
@@ -383,7 +369,7 @@ def make_j1_sphere() -> Problem:
 
 def make_j2_sphere() -> Problem:
     """Shifted Ackley objective restricted to the unit sphere in d=5."""
-    return _surface_problem("j2-sphere", make_j2(5), sphere_penalty, J2_SPHERE_SOLUTION)
+    return _surface_problem("j2-sphere", make_j2(), sphere_penalty, J2_SPHERE_SOLUTION)
 
 
 def make_j1_torus() -> Problem:
@@ -393,7 +379,7 @@ def make_j1_torus() -> Problem:
 
 def make_j2_torus() -> Problem:
     """Shifted Ackley objective restricted to the embedded torus in d=5."""
-    return _surface_problem("j2-torus", make_j2(5), torus_penalty, J2_TORUS_SOLUTION)
+    return _surface_problem("j2-torus", make_j2(), torus_penalty, J2_TORUS_SOLUTION)
 
 
 PROBLEMS: dict[str, Callable[[], Problem]] = {

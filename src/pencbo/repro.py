@@ -72,9 +72,9 @@ QP_INSTANCE_SEED = 0
 
 def _config(row: dict, seed: int, n_particles: Optional[int], **overrides) -> RunConfig:
     """The run config of one figure row; ``overrides`` fill its swept axes."""
-    return config_from_spec({**row, "seed": seed,
-                             "n_particles": n_particles or row["n_particles"],
-                             **overrides})
+    if n_particles is None:
+        n_particles = row["n_particles"]
+    return config_from_spec({**row, "seed": seed, "n_particles": n_particles, **overrides})
 
 
 def _write_summary(out_dir: str, figure: str, summary: dict) -> str:
@@ -130,7 +130,7 @@ def _trace_figures(figure: str, out_dir: str, seed: int,
         )
     summary = dict(
         figure="fig4", seed=seed,
-        n_particles=n_particles or int(FIGURE_PARAMETERS["fig4a"]["n_particles"]),
+        n_particles=config.n_particles,
         note="published panels use 1e6 particles; default here is 1e5 (override with n_particles)",
         panels=panel_stats,
     )
@@ -194,12 +194,18 @@ def _sigma_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
 
 def reproduce(figure: str, out_dir: str, seed: int = 0,
               n_particles: Optional[int] = None, n_runs: Optional[int] = None) -> list[str]:
-    """Write the plot-ready data files for one figure; returns the paths."""
+    """Write the plot-ready data files for one figure; returns the paths.
+
+    ``None`` takes the figure's default: its own particle count, and 100
+    runs per sweep point.
+    """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
     os.makedirs(out_dir, exist_ok=True)
+    if n_runs is None:
+        n_runs = 100
     if figure in ("fig1", "fig2", "fig4"):
         return _trace_figures(figure, out_dir, seed, n_particles)
     if figure in ("fig5", "fig6"):
-        return _beta0_sweep(figure, out_dir, seed, n_runs or 100, n_particles)
-    return _sigma_sweep(figure, out_dir, seed, n_runs or 100, n_particles)
+        return _beta0_sweep(figure, out_dir, seed, n_runs, n_particles)
+    return _sigma_sweep(figure, out_dir, seed, n_runs, n_particles)

@@ -230,7 +230,8 @@ def test_criterion_8_core_invariants_inline(quadratic_bowl, capsys):
 
     pens = rng.uniform(size=40)
     checks["alpha-zero"] = bool(np.isclose(
-        pc.violation_gibbs(pens, values, alpha=0.0), pc.violation_plain_mean(pens)))
+        pc.ensemble_violation(pens, values, 0.0, 0.0, pc.FeasibilityCheck.GIBBS),
+        pc.ensemble_violation(pens, values, 0.0, 0.0, pc.FeasibilityCheck.PLAIN_MEAN)))
 
     config = pc.RunConfig(
         params=pc.CboParams(lam=1.0, sigma=0.5, dt=0.05, alpha=1e6),

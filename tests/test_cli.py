@@ -187,6 +187,26 @@ class TestSweep:
         assert rc == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields,fragment", [
+        (dict(sweep={"beta0": ["x"]}), "invalid spec value"),
+        (dict(sweep={"beta0": [0.1, None]}), "invalid spec value"),
+        (dict(sweep={"beta0": [0.1, -1.0]}), "invalid spec value"),
+        (dict(sweep={"beta0": [0.1]}, n_runs=0), "n_runs must be >= 1"),
+        (dict(sweep={"beta0": [0.1]}, n_runs="x"), "invalid spec value"),
+        (dict(sweep={"beta0": [0.1]}, tol_inf=0), "tol_inf must be > 0"),
+    ])
+    def test_bad_sweep_values_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                     fields, fragment):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("pencbo.cli.success_rate", no_runs)
+        spec = write_spec(tmp_path / "spec.json", **{**TINY, **fields})
+        rc = main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert fragment in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_threads_flag_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", **TINY,
                           sweep={"beta0": [0.1]}, n_runs=4, tol_inf=5.0)
@@ -245,6 +265,23 @@ class TestReproduce:
             summary = json.load(fh)
         assert summary["diffusion"] == "isotropic"
         assert len(summary["results"]) == 36
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--figure", "fig1", "--particles", "0"], "--particles"),
+        (["--figure", "fig1", "--particles", "-3"], "--particles"),
+        (["--figure", "fig5", "--runs", "0"], "--runs"),
+    ])
+    def test_counts_below_one_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                     argv, flag):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("pencbo.repro.run", no_runs)
+        monkeypatch.setattr("pencbo.repro.success_rate", no_runs)
+        rc = main(["reproduce", *argv, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_unknown_figure_exits_2(self, tmp_path, capsys):
         rc = main(["reproduce", "--figure", "fig99", "--out", str(tmp_path)])

@@ -202,10 +202,8 @@ class TestStep:
 
 class TestVariance:
     def test_hand_value(self):
-        ens = pc.ParticleEnsemble(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        v = pc.variance_functional(ens, np.zeros(2))
+        v = pc.variance_functional(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
         assert v == pytest.approx(0.5)  # (1 + 1) / (2 * 2)
 
     def test_zero_at_reference(self):
-        ens = pc.ParticleEnsemble(np.full((5, 3), 2.0))
-        assert pc.variance_functional(ens, np.full(3, 2.0)) == 0.0
+        assert pc.variance_functional(np.full((5, 3), 2.0), np.full(3, 2.0)) == 0.0

@@ -128,26 +128,32 @@ class TestBatching:
 
     def test_subset_of_one_is_a_particle(self):
         rng = np.random.default_rng(0)
-        ens = pc.ParticleEnsemble(rng.normal(size=(10, 2)))
+        positions = rng.normal(size=(10, 2))
         values = rng.normal(size=10)
-        pairs = pc.batched_consensus(
-            ens, values, 1e6, pc.BatchSpec.random_subset(1), np.random.default_rng(5)
+        target, point = pc.batched_consensus(
+            positions, values, 1e6, pc.BatchSpec.random_subset(1), np.random.default_rng(5)
         )
-        (idx, point), = pairs
-        np.testing.assert_array_equal(point, ens.positions[idx[0]])
+        # the same seeded draw the function made
+        idx = np.random.default_rng(5).choice(10, size=1, replace=False)
+        np.testing.assert_array_equal(point, positions[idx[0]])
+        np.testing.assert_array_equal(target, point)
 
     def test_partition_points_stay_in_batch_hull(self):
         rng = np.random.default_rng(1)
-        ens = pc.ParticleEnsemble(rng.normal(size=(12, 3)))
+        positions = rng.normal(size=(12, 3))
         values = rng.normal(size=12)
-        pairs = pc.batched_consensus(
-            ens, values, 10.0, pc.BatchSpec.partition(3), np.random.default_rng(7)
+        target, _ = pc.batched_consensus(
+            positions, values, 10.0, pc.BatchSpec.partition(3), np.random.default_rng(7)
         )
-        assert len(pairs) == 3
-        seen = np.concatenate([idx for idx, _ in pairs])
+        # the same seeded shuffle the function made
+        batches = np.random.default_rng(7).permutation(12).reshape(3, 4)
+        assert len(batches) == 3
+        seen = np.concatenate(batches)
         assert sorted(seen) == list(range(12))
-        for idx, point in pairs:
-            sub = ens.positions[idx]
+        for idx in batches:
+            point = target[idx[0]]
+            np.testing.assert_array_equal(target[idx], np.broadcast_to(point, (4, 3)))
+            sub = positions[idx]
             assert np.all(point >= sub.min(axis=0) - 1e-12)
             assert np.all(point <= sub.max(axis=0) + 1e-12)
 
@@ -309,6 +315,25 @@ class TestLongRuns:
         assert not trace.aborted, trace.abort_reason
         assert trace.n_recorded == 3000
         assert trace.final_beta == np.finfo(float).max
+
+    @pytest.mark.filterwarnings("error")
+    def test_merit_overflow_aborts_naming_beta(self, quadratic_bowl):
+        # r == 2 fails every check, so beta * r passes the largest float
+        # before beta saturates
+        twos = replace(quadratic_bowl, penalty=lambda x: np.full(len(x), 2.0))
+        config = pc.RunConfig(
+            params=pc.CboParams(lam=1.0, sigma=0.5, dt=0.05),
+            controller=pc.PenaltyController.fresh(beta0=1.0, theta0=4.0, eta_beta=1.5),
+            n_particles=16,
+            n_iterations=3000,
+            seed=7,
+        )
+        trace = pc.run(twos, config)
+        assert trace.aborted
+        assert trace.abort_reason == (
+            "iteration 1749: merit j + beta*r overflowed at beta=9.629685163828014e+307")
+        assert trace.n_recorded == 1749
+        assert trace.final_beta == 9.629685163828014e+307
 
     def test_decreasing_beta_stays_positive(self, quadratic_bowl):
         # r == 0 passes every check, so the decreasing mode divides beta by

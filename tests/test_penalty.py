@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pencbo as pc
-from pencbo.penalty import controller_step, violation_gibbs, violation_plain_mean
+from pencbo.penalty import _merit, controller_step, ensemble_violation
+
+GIBBS = pc.FeasibilityCheck.GIBBS
+PLAIN_MEAN = pc.FeasibilityCheck.PLAIN_MEAN
 
 
 def fresh(beta0=1.0, theta0=4.0, eta_beta=1.1, eta_theta=1.1,
@@ -129,25 +132,27 @@ nonneg = st.floats(0.0, 100.0, allow_nan=False)
 class TestViolationEstimators:
     def test_hand_weighted_mean(self):
         # weights exp(-ln 2 * P) with P = (0, 1) give (1, 1/2); mean of r = (0, 1) is 1/3.
-        v = violation_gibbs(np.array([0.0, 1.0]), np.array([0.0, 1.0]), math.log(2.0))
+        v = ensemble_violation(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0,
+                               math.log(2.0), GIBBS)
         assert v == pytest.approx(1.0 / 3.0)
 
     def test_single_particle_is_its_penalty(self):
-        assert violation_gibbs(np.array([0.7]), np.array([3.0]), 5.0) == pytest.approx(0.7)
-        assert violation_plain_mean(np.array([0.7])) == pytest.approx(0.7)
+        r = np.array([0.7])
+        assert ensemble_violation(r, np.array([3.0]), 0.0, 5.0, GIBBS) == pytest.approx(0.7)
+        assert ensemble_violation(r, np.zeros(1), 0.0, 0.0, PLAIN_MEAN) == pytest.approx(0.7)
 
     def test_all_feasible_gives_zero(self):
         r = np.zeros(6)
-        assert violation_plain_mean(r) == 0.0
-        assert violation_gibbs(r, np.arange(6.0), 1e6) == 0.0
+        assert ensemble_violation(r, np.zeros(6), 0.0, 0.0, PLAIN_MEAN) == 0.0
+        assert ensemble_violation(r, np.arange(6.0), 0.0, 1e6, GIBBS) == 0.0
 
     @given(arrays(np.float64, st.integers(1, 30), elements=nonneg),
            arrays(np.float64, st.integers(1, 30), elements=st.floats(-50, 50)))
     def test_alpha_zero_equals_plain_mean(self, r, merit):
         n = min(len(r), len(merit))
         r, merit = r[:n], merit[:n]
-        assert violation_gibbs(r, merit, 0.0) == pytest.approx(
-            violation_plain_mean(r), rel=1e-12, abs=1e-12
+        assert ensemble_violation(r, merit, 0.0, 0.0, GIBBS) == pytest.approx(
+            ensemble_violation(r, merit, 0.0, 0.0, PLAIN_MEAN), rel=1e-12, abs=1e-12
         )
 
     @given(arrays(np.float64, st.integers(1, 30), elements=nonneg),
@@ -156,46 +161,54 @@ class TestViolationEstimators:
     def test_weighted_mean_bounded_by_extremes(self, r, merit, alpha):
         n = min(len(r), len(merit))
         r, merit = r[:n], merit[:n]
-        v = violation_gibbs(r, merit, alpha)
+        v = ensemble_violation(r, merit, 0.0, alpha, GIBBS)
         assert r.min() - 1e-9 <= v <= r.max() + 1e-9
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            violation_gibbs(np.zeros(3), np.zeros(4), 1.0)
+            ensemble_violation(np.zeros(3), np.zeros(4), 0.0, 1.0, GIBBS)
 
 
 class TestPenaltyValue:
+    # the merit j + beta * r in closed form
     def test_affine_in_beta(self):
         problem = pc.make_test1()
         x = np.array([[-2.0], [0.3], [-1.5]])
-        p1 = pc.penalty_value(problem, x, 1.0)
-        p2 = pc.penalty_value(problem, x, 3.5)
+        p1 = problem.objective(x) + 1.0 * problem.penalty(x)
+        p2 = problem.objective(x) + 3.5 * problem.penalty(x)
         r = problem.penalty(x)
         np.testing.assert_allclose(p2 - p1, 2.5 * r, rtol=1e-12)
 
     def test_feasible_value_independent_of_beta(self):
         problem = pc.make_test1()
         x = np.array([[0.0]])
-        assert pc.penalty_value(problem, x, 0.1)[0] == pc.penalty_value(problem, x, 100.0)[0]
+        j, r = problem.objective(x), problem.penalty(x)
+        assert (j + 0.1 * r)[0] == (j + 100.0 * r)[0]
 
     def test_known_values(self):
         problem = pc.make_test1()
-        assert pc.penalty_value(problem, np.array([[-1.5]]), 7.0)[0] == pytest.approx(5.0125)
+        x = np.array([[-1.5]])
+        assert (problem.objective(x) + 7.0 * problem.penalty(x))[0] == pytest.approx(5.0125)
         assert problem.objective(np.array([[-2.5]]))[0] == pytest.approx(2.8125)
+
+    def test_overflow_names_beta(self):
+        with pytest.raises(FloatingPointError, match=r"merit j \+ beta\*r overflowed at beta=1e\+308"):
+            _merit(np.zeros(3), np.full(3, 2.0), 1e308)
+        np.testing.assert_array_equal(_merit(np.ones(2), np.full(2, 2.0), 3.0), [7.0, 7.0])
 
 
 class TestEnsembleViolationWiring:
     def test_precomputed_values_match_fresh_evaluation(self):
         problem = pc.make_test1()
         rng = np.random.default_rng(0)
-        ens = pc.ParticleEnsemble(rng.normal(size=(20, 1)))
-        r = problem.penalty(ens.positions)
-        j = problem.objective(ens.positions)
+        x = rng.normal(size=(20, 1))
+        r = problem.penalty(x)
+        j = problem.objective(x)
         fresh_evaluation = {
-            pc.FeasibilityCheck.PLAIN_MEAN: violation_plain_mean(problem.penalty(ens.positions)),
-            pc.FeasibilityCheck.GIBBS: violation_gibbs(
-                problem.penalty(ens.positions),
-                pc.penalty_value(problem, ens.positions, 2.0), 1e6),
+            PLAIN_MEAN: float(problem.penalty(x).mean()),
+            GIBBS: ensemble_violation(
+                problem.penalty(x), problem.objective(x) + 2.0 * problem.penalty(x),
+                0.0, 1e6, GIBBS),
         }
         for check in pc.FeasibilityCheck:
             direct = fresh_evaluation[check]

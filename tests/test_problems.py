@@ -29,15 +29,15 @@ class TestTest1:
     def test_solution_and_threshold(self):
         np.testing.assert_allclose(self.problem.known_solution, [-1.5])
         assert self.problem.known_beta_bar == pytest.approx(4.3)
-        assert self.problem.is_feasible(np.array([-1.5]))
-        assert not self.problem.is_feasible(np.array([-1.6]))
+        assert self.problem.penalty(np.array([-1.5])) <= 1e-9
+        assert not self.problem.penalty(np.array([-1.6])) <= 1e-9
 
     def test_threshold_is_exact_merit_transition(self):
         # For beta >= 4.3 the constrained solution minimizes j + beta r globally;
         # just below, the unconstrained basin wins.
         xs = np.linspace(-4.0, 3.0, 10_001)[:, None]
         for beta, at_solution in ((4.3, True), (4.25, False)):
-            merit = pc.penalty_value(self.problem, xs, beta)
+            merit = self.problem.objective(xs) + beta * self.problem.penalty(xs)
             best = xs[np.argmin(merit), 0]
             assert (abs(best - (-1.5)) < 2e-3) == at_solution
 
@@ -157,7 +157,7 @@ class TestSurfaceProblems:
 
     def test_ackley_dimension_restriction(self):
         with pytest.raises(ValueError):
-            pc.make_j2(4)
+            pc.make_j2()(np.zeros((2, 4)))
 
 
 class TestRegistryAndInit:

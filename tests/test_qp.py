@@ -124,7 +124,7 @@ class TestProblemWrapper:
     def test_penalty_zero_exactly_at_solution(self):
         problem, inst = make_random_qp(9, 5)
         assert problem.penalty(inst.x_star[None])[0] <= 1e-12
-        assert problem.is_feasible(inst.x_star, tol=1e-9)
+        assert problem.penalty(inst.x_star) <= 1e-9
 
     def test_penalty_positive_off_constraints(self):
         problem, inst = make_random_qp(5, 6)
@@ -158,7 +158,7 @@ class TestProblemWrapper:
         rng = np.random.default_rng(2)
         beta = 4.0 * problem.known_beta_bar + 1.0
         xs = np.vstack([inst.x_star[None], inst.x_star + 0.5 * rng.normal(size=(500, 6))])
-        merit = pc.penalty_value(problem, xs, beta)
+        merit = problem.objective(xs) + beta * problem.penalty(xs)
         assert np.argmin(merit) == 0
 
 
