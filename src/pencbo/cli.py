@@ -13,9 +13,10 @@ import itertools
 import json
 import os
 import sys
+import time
 from typing import Optional
 
-from .harness import SPEC_DEFAULTS, RunConfig, config_from_spec, run, success_rate
+from .harness import SPEC_DEFAULTS, RunConfig, _whole, config_from_spec, run, success_rate
 from .problems import PROBLEMS
 from .qp import make_random_qp
 from .repro import FIGURES, reproduce
@@ -48,7 +49,7 @@ def _load_spec(path: Optional[str], args: argparse.Namespace) -> dict:
         spec.update(loaded)
     for flag, field in (("seed", "seed"), ("particles", "n_particles"),
                         ("iters", "n_iterations")):
-        value = getattr(args, flag, None)
+        value = getattr(args, flag)
         if value is not None:
             spec[field] = value
     return spec
@@ -67,7 +68,7 @@ def _build_problem(spec: dict):
     if isinstance(selector, dict) and set(selector) == {"qp"}:
         qp = selector["qp"]
         try:
-            problem, _ = make_random_qp(int(qp["d"]), int(qp.get("seed", 0)))
+            problem, _ = make_random_qp(_whole(qp["d"], "d"), _whole(qp.get("seed", 0), "seed"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"problem.qp: {exc}") from exc
         return problem
@@ -87,20 +88,14 @@ def _echo(spec: dict, problem_name) -> dict:
     return out
 
 
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def cmd_run(args) -> int:
     spec = _load_spec(args.spec, args)
     problem = _build_problem(spec)
     config = _build_config(spec)
-    out = _out_dir(args)
+    os.makedirs(args.out, exist_ok=True)
     trace = run(problem, config)
     base = f"{problem.name}_seed{config.seed}"
-    trace_path = os.path.join(out, f"{base}_trace.csv")
+    trace_path = os.path.join(args.out, f"{base}_trace.csv")
     trace.to_csv(trace_path)
     summary = dict(
         spec=_echo(spec, spec["problem"]),
@@ -113,7 +108,7 @@ def cmd_run(args) -> int:
         duration_s=trace.duration_s,
         trace_csv=trace_path,
     )
-    summary_path = os.path.join(out, f"{base}_summary.json")
+    summary_path = os.path.join(args.out, f"{base}_summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
     print(trace_path)
@@ -142,7 +137,7 @@ def cmd_sweep(args) -> int:
             raise SpecError(f"sweep.{name}: expected a non-empty list")
     combos = list(itertools.product(*(axes[name] for name in names)))
     try:
-        n_runs = int(spec["n_runs"])
+        n_runs = _whole(spec["n_runs"], "n_runs")
         tol = float(spec["tol_inf"])
         points = [[float(v) for v in combo] for combo in combos]
     except (TypeError, ValueError) as exc:
@@ -153,10 +148,10 @@ def cmd_sweep(args) -> int:
         raise SpecError(f"tol_inf must be > 0, got {tol}")
     # all configs are built first, so a bad value at any point fails before a run
     configs = [_build_config({**spec, **dict(zip(names, point))}) for point in points]
-    out = _out_dir(args)
+    os.makedirs(args.out, exist_ok=True)
     rows = [(combo, success_rate(problem, config, n_runs, tol))
             for combo, config in zip(combos, configs)]
-    table_path = os.path.join(out, f"{problem.name}_sweep.csv")
+    table_path = os.path.join(args.out, f"{problem.name}_sweep.csv")
     with open(table_path, "w") as fh:
         fh.write(",".join(names) + ",success_rate,n_aborted\n")
         for combo, stats in rows:
@@ -172,7 +167,7 @@ def cmd_sweep(args) -> int:
                 for combo, stats in rows],
         table_csv=table_path,
     )
-    summary_path = os.path.join(out, f"{problem.name}_sweep_summary.json")
+    summary_path = os.path.join(args.out, f"{problem.name}_sweep_summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
     print(table_path)
@@ -181,36 +176,37 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.figure is None:
-        raise SpecError("reproduce: --figure is required")
-    if args.figure not in FIGURES:
-        raise SpecError(f"reproduce: unknown figure {args.figure!r}; known: {FIGURES}")
-    for flag, value in (("--particles", args.particles), ("--runs", args.runs)):
-        if value is not None and value < 1:
-            raise SpecError(f"reproduce: {flag} must be >= 1, got {value}")
-    paths = reproduce(
-        args.figure, _out_dir(args), seed=args.seed or 0,
-        n_particles=args.particles, n_runs=args.runs,
-    )
-    for p in paths:
-        print(p)
+    for figure in args.figure:
+        start = time.perf_counter()
+        paths = reproduce(figure, args.out, seed=args.seed,
+                          n_particles=args.particles, n_runs=args.runs)
+        for p in paths:
+            print(p)
+        print(f"{figure}: {len(paths)} files ({time.perf_counter() - start:.1f} s)",
+              file=sys.stderr)
     return 0
 
 
 def cmd_qp_gen(args) -> int:
-    # qp-gen has no run seed, so a bare --seed means the instance seed.
-    seed = args.qp_seed if args.qp_seed is not None else (args.seed or 0)
     try:
-        problem, instance = make_random_qp(args.dim, seed)
+        problem, instance = make_random_qp(args.dim, args.qp_seed)
     except ValueError as exc:
         raise SpecError(f"qp-gen: {exc}") from exc
     instance.validate()
-    out = _out_dir(args)
-    path = os.path.join(out, f"{problem.name}.json")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{problem.name}.json")
     with open(path, "w") as fh:
         fh.write(instance.to_json())
     print(path)
     return 0
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -220,38 +216,42 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", help="JSON experiment spec file")
-    common.add_argument("--seed", type=int, help="override the spec seed")
-    common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument("--particles", type=int, help="override particle count")
-    common.add_argument("--iters", type=int, help="override iteration count")
+    def command(name, handler, summary):
+        cmd = sub.add_parser(name, help=summary)
+        cmd.set_defaults(handler=handler)
+        cmd.add_argument("--out", default=".", help="output directory (default: current)")
+        return cmd
 
-    sub.add_parser("run", parents=[common], help="single run: trace CSV + summary")
-    sub.add_parser("sweep", parents=[common], help="success-rate table over sweep axes")
-    rep = sub.add_parser("reproduce", parents=[common],
-                         help="emit the data behind a published figure")
-    rep.add_argument("--figure", help=f"one of {', '.join(FIGURES)}")
-    rep.add_argument("--runs", type=int, help="repetitions per sweep point")
-    qp = sub.add_parser("qp-gen", parents=[common],
-                        help="generate and serialize a random QP instance")
+    for name, handler, summary in (
+        ("run", cmd_run, "single run: trace CSV + summary"),
+        ("sweep", cmd_sweep, "success-rate table over sweep axes"),
+    ):
+        cmd = command(name, handler, summary)
+        cmd.add_argument("--spec", help="JSON experiment spec file")
+        cmd.add_argument("--seed", type=int, help="override the spec seed")
+        cmd.add_argument("--particles", type=positive_int, help="override particle count")
+        cmd.add_argument("--iters", type=positive_int, help="override iteration count")
+    rep = command("reproduce", cmd_reproduce, "emit the data behind published figures")
+    rep.add_argument("--figure", nargs="+", choices=FIGURES, required=True,
+                     help="figures to emit, in order")
+    rep.add_argument("--seed", type=int, default=0, help="first run seed (default 0)")
+    rep.add_argument("--particles", type=positive_int,
+                     help="particle count of every run (default: the figure's own)")
+    rep.add_argument("--runs", type=positive_int,
+                     help="repetitions per sweep point (default 100)")
+    qp = command("qp-gen", cmd_qp_gen, "generate and serialize a random QP instance")
     qp.add_argument("--dim", type=int, required=True, help="problem dimension (>= 2)")
-    qp.add_argument("--qp-seed", type=int, default=None,
-                    help="instance seed (default 0; --seed is accepted too)")
+    qp.add_argument("--qp-seed", "--seed", dest="qp_seed", type=int, default=0,
+                    help="instance seed (default 0)")
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    handlers = {"run": cmd_run, "sweep": cmd_sweep,
-                "reproduce": cmd_reproduce, "qp-gen": cmd_qp_gen}
     try:
-        return handlers[args.command](args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.handler(args)
+    except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -103,7 +103,9 @@ class ParticleEnsemble:
 def _gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
     """exp(-alpha * values), unnormalized and shifted by the minimum so
     that large alpha cannot overflow."""
-    return np.exp(-alpha * (values - values.min()))
+    # a spread whose product overflows to inf gets weight exp(-inf) = 0, its limit
+    with np.errstate(over="ignore"):
+        return np.exp(-alpha * (values - values.min()))
 
 
 def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:

@@ -54,7 +54,8 @@ class BatchSpec:
     S equal batches that each step toward their own consensus point.
 
     For the random subset, ``update_scope`` selects whether all particles
-    or only the sampled ones move.
+    or only the sampled ones move; a partition moves all of them, so its
+    scope must be "all".
     """
 
     kind: str
@@ -68,6 +69,8 @@ class BatchSpec:
             raise ValueError(f"batch size must be >= 1, got {self.size}")
         if self.update_scope not in ("all", "batch"):
             raise ValueError(f"update_scope must be 'all' or 'batch', got {self.update_scope!r}")
+        if self.kind == "partition" and self.update_scope != "all":
+            raise ValueError("a partition moves every particle; update_scope must be 'all'")
 
     @staticmethod
     def random_subset(m: int, update_scope: str = "all") -> "BatchSpec":
@@ -120,6 +123,14 @@ SPEC_DEFAULTS = dict(
 )
 
 
+def _whole(value, name: str) -> int:
+    """A spec count or seed as an int; ValueError for a float that is not
+    whole (100.0 is), where ``int`` would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def config_from_spec(spec: dict) -> RunConfig:
     """Build a RunConfig from a flat experiment spec (schema in the README).
 
@@ -142,9 +153,9 @@ def config_from_spec(spec: dict) -> RunConfig:
             eta_beta=float(spec["eta_beta"]), eta_theta=float(spec["eta_theta"]),
             mode=ControllerMode(spec["mode"]),
         ),
-        n_particles=int(spec["n_particles"]),
-        n_iterations=int(spec["n_iterations"]),
-        seed=int(spec["seed"]),
+        n_particles=_whole(spec["n_particles"], "n_particles"),
+        n_iterations=_whole(spec["n_iterations"], "n_iterations"),
+        seed=_whole(spec["seed"], "seed"),
         check=FeasibilityCheck(spec["check"]),
         init=InitSpec(**init) if isinstance(init, dict) else init,
         batch=BatchSpec(**batch) if isinstance(batch, dict) else batch,

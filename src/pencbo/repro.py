@@ -197,10 +197,14 @@ def reproduce(figure: str, out_dir: str, seed: int = 0,
     """Write the plot-ready data files for one figure; returns the paths.
 
     ``None`` takes the figure's default: its own particle count, and 100
-    runs per sweep point.
+    runs per sweep point.  A count below 1 raises ValueError before
+    ``out_dir`` is created.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
+    for name, value in (("n_particles", n_particles), ("n_runs", n_runs)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     os.makedirs(out_dir, exist_ok=True)
     if n_runs is None:
         n_runs = 100

@@ -9,6 +9,7 @@ import pytest
 import pencbo as pc
 from pencbo.cli import main
 from pencbo.qp import QpInstance, make_random_qp
+from pencbo.repro import reproduce
 
 
 def write_spec(path, **fields):
@@ -120,6 +121,11 @@ class TestSpecErrors:
         (dict(problem="test1", init={"bogus": 1}), "invalid spec value"),
         (dict(problem="test1", batch={"kind": "nope", "size": 2}), "invalid spec value"),
         (dict(), "missing the required field"),
+        (dict(problem="test1", n_particles=6.7), "invalid spec value"),
+        (dict(problem="test1", n_iterations=5.9), "invalid spec value"),
+        (dict(problem="test1", seed=1.5), "invalid spec value"),
+        (dict(problem="test1", batch={"kind": "partition", "size": 2, "update_scope": "batch"}),
+         "invalid spec value"),
     ])
     def test_bad_specs_exit_2(self, tmp_path, capsys, fields, fragment):
         spec = write_spec(tmp_path / "spec.json", **fields)
@@ -131,7 +137,7 @@ class TestSpecErrors:
         spec = write_spec(tmp_path / "spec.json", **TINY)
         rc = main(["run", "--spec", spec, "--out", str(tmp_path), "--iters", "0"])
         assert rc == 2
-        assert "invalid spec value" in capsys.readouterr().err
+        assert "argument --iters: must be >= 1" in capsys.readouterr().err
 
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--spec", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
@@ -194,6 +200,8 @@ class TestSweep:
         (dict(sweep={"beta0": [0.1]}, n_runs=0), "n_runs must be >= 1"),
         (dict(sweep={"beta0": [0.1]}, n_runs="x"), "invalid spec value"),
         (dict(sweep={"beta0": [0.1]}, tol_inf=0), "tol_inf must be > 0"),
+        (dict(sweep={"beta0": [0.1]}, n_runs=2.5), "invalid spec value"),
+        (dict(sweep={"beta0": [0.1]}, n_particles=6.7), "invalid spec value"),
     ])
     def test_bad_sweep_values_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                      fields, fragment):
@@ -280,18 +288,56 @@ class TestReproduce:
         monkeypatch.setattr("pencbo.repro.success_rate", no_runs)
         rc = main(["reproduce", *argv, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("kwargs", [dict(n_runs=0), dict(n_particles=0)])
+    def test_library_counts_below_one_raise_before_any_output(self, tmp_path, kwargs):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            reproduce("fig5", str(tmp_path / "out"), **kwargs)
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "--figure", "fig2", "--iters", "3"],
+        ["reproduce", "--figure", "fig2", "--spec", "s.json"],
+        ["qp-gen", "--dim", "4", "--spec", "s.json"],
+        ["qp-gen", "--dim", "4", "--particles", "7"],
+        ["qp-gen", "--dim", "4", "--iters", "0"],
+    ])
+    def test_flags_a_command_does_not_read_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("pencbo.repro.run", no_runs)
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_several_figures_match_single_calls(self, tmp_path, capsys):
+        def emit(out, *figures):
+            assert main(["reproduce", "--figure", *figures, "--out", str(tmp_path / out),
+                         "--particles", "6"]) == 0
+            captured = capsys.readouterr()
+            return captured.out.replace(str(tmp_path / out), "D"), captured.err
+
+        together, report = emit("both", "fig2", "fig1")
+        apart = emit("one", "fig2")[0] + emit("one", "fig1")[0]
+        assert together == apart
+        assert [line.split(" (")[0] for line in report.strip().split("\n")] == [
+            "fig2: 2 files", "fig1: 3 files"]
+        for name in ("fig1_trace.csv", "fig1_particles.csv", "fig2_trace.csv"):
+            assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_unknown_figure_exits_2(self, tmp_path, capsys):
         rc = main(["reproduce", "--figure", "fig99", "--out", str(tmp_path)])
         assert rc == 2
-        assert "unknown figure" in capsys.readouterr().err
+        assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
     def test_missing_figure_flag_exits_2(self, tmp_path, capsys):
         rc = main(["reproduce", "--out", str(tmp_path)])
         assert rc == 2
-        assert "--figure is required" in capsys.readouterr().err
+        assert "required: --figure" in capsys.readouterr().err
 
 
 class TestQpGen:

@@ -60,6 +60,15 @@ class TestConsensus:
         assert np.isfinite(point).all()
         np.testing.assert_allclose(point, [1.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spread_weighs_zero_without_warning(self):
+        values = np.array([0.0, 1e303])
+        point = consensus_raw(np.array([[2.0], [5.0]]), values, 1e6)
+        np.testing.assert_array_equal(point, [2.0])
+        violation = pc.ensemble_violation(np.array([3.0, 7.0]), values, 0.0, 1e6,
+                                          pc.FeasibilityCheck.GIBBS)
+        assert violation == 3.0
+
     def test_consensus_point_wraps_ensemble(self):
         ens = pc.ParticleEnsemble(np.array([[0.0, 0.0], [2.0, 2.0]]))
         point = pc.consensus_raw(ens.positions, np.array([0.0, 0.0]), 0.0)

@@ -200,6 +200,8 @@ class TestBatching:
             pc.BatchSpec.random_subset(0)
         with pytest.raises(ValueError):
             pc.BatchSpec("nonsense", 3)
+        with pytest.raises(ValueError, match="update_scope"):
+            pc.BatchSpec("partition", 3, "batch")
         with pytest.raises(ValueError):
             pc.BatchSpec.random_subset(20).validate_for(10)
         with pytest.raises(ValueError):
