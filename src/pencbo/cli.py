@@ -82,12 +82,6 @@ def _build_config(spec: dict) -> RunConfig:
         raise SpecError(f"invalid spec value: {exc}") from exc
 
 
-def _echo(spec: dict, problem_name) -> dict:
-    out = {k: v for k, v in spec.items() if k != "problem"}
-    out["problem"] = problem_name
-    return out
-
-
 def cmd_run(args) -> int:
     spec = _load_spec(args.spec, args)
     problem = _build_problem(spec)
@@ -98,7 +92,7 @@ def cmd_run(args) -> int:
     trace_path = os.path.join(args.out, f"{base}_trace.csv")
     trace.to_csv(trace_path)
     summary = dict(
-        spec=_echo(spec, spec["problem"]),
+        spec=spec,
         problem=problem.name,
         final_consensus=trace.final_consensus.tolist(),
         final_beta=trace.final_beta,
@@ -158,7 +152,7 @@ def cmd_sweep(args) -> int:
             fh.write(",".join(repr(float(v)) for v in combo)
                      + f",{stats.rate!r},{stats.n_aborted}\n")
     summary = dict(
-        spec=_echo(spec, spec["problem"]),
+        spec=spec,
         problem=problem.name, n_runs=n_runs, tol_inf=tol,
         points=[dict(zip(names, combo), success_rate=stats.rate,
                      n_aborted=stats.n_aborted,

@@ -175,7 +175,6 @@ class RunTrace:
     none is known).  On an abort the arrays stop at the failed iteration.
     """
 
-    k: np.ndarray
     t: np.ndarray
     beta: np.ndarray
     theta: np.ndarray
@@ -187,13 +186,16 @@ class RunTrace:
     final_consensus: np.ndarray
     final_beta: float
     duration_s: float
-    aborted: bool = False
     abort_reason: Optional[str] = None
     particles: Optional[list[np.ndarray]] = None
 
     @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
+
+    @property
     def n_recorded(self) -> int:
-        return len(self.k)
+        return len(self.t)
 
     def to_csv(self, path) -> None:
         """One row per iteration; the V column is left empty when no
@@ -210,7 +212,7 @@ class RunTrace:
                 repr(float(col[i]))
                 for col in (self.t, self.beta, self.theta, self.violation, self.tolerance)
             )
-            lines.append(f"{int(self.k[i])},{scalars},{int(self.passed[i])},{cons},{v}")
+            lines.append(f"{i},{scalars},{int(self.passed[i])},{cons},{v}")
         text = "\n".join(lines) + "\n"
         if hasattr(path, "write"):
             path.write(text)
@@ -272,8 +274,8 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
     """Execute K iterations; never raises on numerical blow-up.
 
     A non-finite position, value, weight or violation (FloatingPointError)
-    stops the run early and returns the trace so far with ``aborted`` set
-    and the failing iteration named in ``abort_reason``.  Anything else
+    stops the run early and returns the trace so far, with the failing
+    iteration named in ``abort_reason``.  Anything else
     raises, e.g. ValueError when, at any iteration, the objective or
     penalty does not map the (n, d) ensemble to shape (n,).
 
@@ -288,7 +290,6 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
     init = config.init if config.init is not None else problem.init
     ref = problem.known_solution
 
-    k_arr = np.zeros(K, dtype=np.int64)
     t_arr = np.zeros(K)
     beta_arr = np.zeros(K)
     theta_arr = np.zeros(K)
@@ -300,7 +301,6 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
 
     start = time.perf_counter()
     ctrl = config.controller
-    aborted = False
     reason = None
     done = 0
     snapshots: Optional[list[np.ndarray]] = [] if config.record_particles else None
@@ -325,7 +325,6 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
             j_vals, r_vals = _evaluate(problem, ensemble.positions)
             violation = ensemble_violation(r_vals, j_vals, ctrl.beta, alpha, config.check)
 
-            k_arr[k] = k
             t_arr[k] = (k + 1) * params.dt
             beta_arr[k] = ctrl.beta
             theta_arr[k] = ctrl.theta
@@ -340,7 +339,6 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
                 snapshots.append(ensemble.positions)
             done = k + 1
         except FloatingPointError as exc:
-            aborted = True
             reason = f"iteration {k}: {exc}"
             break
 
@@ -353,7 +351,6 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
 
     sl = slice(0, done)
     return RunTrace(
-        k=k_arr[sl],
         t=t_arr[sl],
         beta=beta_arr[sl],
         theta=theta_arr[sl],
@@ -365,7 +362,6 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
         final_consensus=final_consensus,
         final_beta=ctrl.beta,
         duration_s=time.perf_counter() - start,
-        aborted=aborted,
         abort_reason=reason,
         particles=snapshots,
     )
@@ -413,7 +409,8 @@ def success_rate(
     """Fraction of runs ending within tol_inf of the known solution.
 
     Run i uses seed config.seed + i; aborted runs count as failures and are
-    flagged in the outcome list.  Runs execute one after another;
+    flagged in the outcome list.  Runs do not record V, which no outcome
+    reads.  Runs execute one after another;
     ``threads`` accepts only 1 and remains only because
     ``perfbench/workloads.py`` passes ``threads=1``.
     """
@@ -426,9 +423,10 @@ def success_rate(
     if not tol_inf > 0:
         raise ValueError(f"tol_inf must be > 0, got {tol_inf}")
     x_star = problem.known_solution
+    unscored = replace(problem, known_solution=None)
     outcomes = []
     for i in range(n_runs):
-        trace = run(problem, replace(config, seed=config.seed + i))
+        trace = run(unscored, replace(config, seed=config.seed + i))
         final = trace.final_consensus
         dist = float(np.max(np.abs(final - x_star))) if np.all(np.isfinite(final)) else np.inf
         outcomes.append(RunOutcome(

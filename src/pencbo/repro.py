@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DiffusionKind
-from .harness import RunConfig, config_from_spec, run, success_rate
+from .harness import RunConfig, RunTrace, config_from_spec, run, success_rate
 from .penalty import ControllerMode, FeasibilityCheck
 from .problems import make_rastrigin2d, make_test1, PROBLEMS
 from .qp import make_random_qp
@@ -84,19 +84,28 @@ def _write_summary(out_dir: str, figure: str, summary: dict) -> str:
     return path
 
 
+def _write_trace(problem, config: RunConfig, out_dir: str, name: str,
+                 paths: list[str]) -> tuple[RunTrace, dict]:
+    """Run, write ``<name>_trace.csv`` and append its path; returns the
+    trace and its summary fields."""
+    trace = run(problem, config)
+    trace_path = os.path.join(out_dir, f"{name}_trace.csv")
+    trace.to_csv(trace_path)
+    paths.append(trace_path)
+    return trace, dict(final_consensus=trace.final_consensus.tolist(),
+                       final_beta=trace.final_beta, aborted=trace.aborted,
+                       duration_s=trace.duration_s)
+
+
 def _trace_figures(figure: str, out_dir: str, seed: int,
                    n_particles: Optional[int]) -> list[str]:
     paths = []
     if figure in ("fig1", "fig2"):
         row = FIGURE_PARAMETERS[figure]
-        problem = make_test1()
         config = replace(_config(row, seed, n_particles),
                          record_particles=(figure == "fig1"))
-        trace = run(problem, config)
-        trace_path = os.path.join(out_dir, f"{figure}_trace.csv")
-        trace.to_csv(trace_path)
-        paths.append(trace_path)
-        if figure == "fig1" and trace.particles is not None:
+        trace, stats = _write_trace(make_test1(), config, out_dir, figure, paths)
+        if config.record_particles:
             part_path = os.path.join(out_dir, "fig1_particles.csv")
             with open(part_path, "w") as fh:
                 fh.write("k,t,particle,x0\n")
@@ -106,10 +115,7 @@ def _trace_figures(figure: str, out_dir: str, seed: int,
                         fh.write(f"{k},{t!r},{i},{float(x)!r}\n")
             paths.append(part_path)
         summary = dict(figure=figure, config=row, seed=seed,
-                       n_particles=config.n_particles,
-                       final_consensus=trace.final_consensus.tolist(),
-                       final_beta=trace.final_beta, aborted=trace.aborted,
-                       duration_s=trace.duration_s)
+                       n_particles=config.n_particles, **stats)
         paths.append(_write_summary(out_dir, figure, summary))
         return paths
 
@@ -117,17 +123,8 @@ def _trace_figures(figure: str, out_dir: str, seed: int,
     problem = make_rastrigin2d()
     panel_stats = {}
     for panel in ("fig4a", "fig4b", "fig4c", "fig4d"):
-        row = FIGURE_PARAMETERS[panel]
-        config = _config(row, seed, n_particles)
-        trace = run(problem, config)
-        trace_path = os.path.join(out_dir, f"{panel}_trace.csv")
-        trace.to_csv(trace_path)
-        paths.append(trace_path)
-        panel_stats[panel] = dict(
-            final_consensus=trace.final_consensus.tolist(),
-            final_beta=trace.final_beta, aborted=trace.aborted,
-            duration_s=trace.duration_s,
-        )
+        config = _config(FIGURE_PARAMETERS[panel], seed, n_particles)
+        _, panel_stats[panel] = _write_trace(problem, config, out_dir, panel, paths)
     summary = dict(
         figure="fig4", seed=seed,
         n_particles=config.n_particles,

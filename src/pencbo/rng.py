@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "noise_normals", "initial_positions", "batch_stream"]
+__all__ = ["noise_normals", "initial_positions"]
 
 # Purpose tags keep the per-iteration streams for different jobs disjoint.
 _NOISE = 0

@@ -216,3 +216,8 @@ class TestVariance:
 
     def test_zero_at_reference(self):
         assert pc.variance_functional(np.full((5, 3), 2.0), np.full(3, 2.0)) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_rows_give_inf_without_warning(self):
+        # 1e200 squared overflows; V records inf instead of warning
+        assert pc.variance_functional(np.full((4, 2), 1e200), np.zeros(2)) == np.inf

@@ -35,6 +35,7 @@ class TestTraceSelfConsistency:
         trace = pc.run(pc.make_test1(), small_run_config)
         assert trace.n_recorded == small_run_config.n_iterations
         assert not trace.aborted
+        assert trace.aborted == (trace.abort_reason is not None)
 
 
 class TestDeterminism:
@@ -66,6 +67,17 @@ class TestDeterminism:
         assert stats.outcomes == expected
         assert stats.rate == sum(o.success for o in expected) / 8
         assert 0 < stats.rate < 1
+
+    def test_success_rate_does_not_compute_v(self, quadratic_bowl, small_run_config,
+                                             monkeypatch):
+        def no_v(positions, reference):
+            raise AssertionError("V computed")
+
+        monkeypatch.setattr(harness, "variance_functional", no_v)
+        stats = pc.success_rate(quadratic_bowl, small_run_config, n_runs=2, tol_inf=0.5)
+        assert len(stats.outcomes) == 2
+        with pytest.raises(AssertionError, match="V computed"):
+            pc.run(quadratic_bowl, small_run_config)
 
     def test_record_particles_matches_positions_replay(self, small_run_config):
         problem = pc.make_test1()
@@ -221,8 +233,13 @@ class TestAbort:
         with np.errstate(over="ignore", invalid="ignore"):
             trace = pc.run(problem, config)
         assert trace.aborted
+        assert trace.aborted == (trace.abort_reason is not None)
         assert "iteration" in trace.abort_reason
         assert trace.n_recorded < 50
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        rows = buf.getvalue().strip().split("\n")[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(trace.n_recorded))
 
     def test_nonfinite_objective_value_aborts(self, quadratic_bowl, small_run_config):
         # a NaN value is numerical, not a contract breach: the run aborts
