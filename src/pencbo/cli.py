@@ -19,7 +19,7 @@ from typing import Optional
 from .harness import SPEC_DEFAULTS, RunConfig, _whole, config_from_spec, run, success_rate
 from .problems import PROBLEMS
 from .qp import make_random_qp
-from .repro import FIGURES, reproduce
+from .repro import DEFAULT_N_RUNS, FIGURES, _write_json, _write_trace, reproduce
 
 __all__ = ["main"]
 
@@ -28,7 +28,7 @@ class SpecError(Exception):
     """Malformed or inconsistent experiment spec; maps to exit code 2."""
 
 
-_DEFAULTS = dict(SPEC_DEFAULTS, n_runs=100, tol_inf=0.1, sweep=None)
+_DEFAULTS = dict(SPEC_DEFAULTS, n_runs=DEFAULT_N_RUNS, tol_inf=0.1, sweep=None)
 
 
 def _load_spec(path: Optional[str], args: argparse.Namespace) -> dict:
@@ -88,25 +88,10 @@ def cmd_run(args) -> int:
     config = _build_config(spec)
     os.makedirs(args.out, exist_ok=True)
     trace = run(problem, config)
-    base = f"{problem.name}_seed{config.seed}"
-    trace_path = os.path.join(args.out, f"{base}_trace.csv")
-    trace.to_csv(trace_path)
-    summary = dict(
-        spec=spec,
-        problem=problem.name,
-        final_consensus=trace.final_consensus.tolist(),
-        final_beta=trace.final_beta,
-        iterations_recorded=trace.n_recorded,
-        aborted=trace.aborted,
-        abort_reason=trace.abort_reason,
-        duration_s=trace.duration_s,
-        trace_csv=trace_path,
-    )
-    summary_path = os.path.join(args.out, f"{base}_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    print(trace_path)
-    print(summary_path)
+    base = os.path.join(args.out, f"{problem.name}_seed{config.seed}")
+    stats = _write_trace(trace, f"{base}_trace.csv")
+    print(stats["trace_csv"])
+    print(_write_json(f"{base}_summary.json", dict(spec=spec, problem=problem.name, **stats)))
     if trace.aborted:
         print(f"run aborted: {trace.abort_reason}", file=sys.stderr)
         return 1
@@ -161,11 +146,8 @@ def cmd_sweep(args) -> int:
                 for combo, stats in rows],
         table_csv=table_path,
     )
-    summary_path = os.path.join(args.out, f"{problem.name}_sweep_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
     print(table_path)
-    print(summary_path)
+    print(_write_json(os.path.join(args.out, f"{problem.name}_sweep_summary.json"), summary))
     return 0
 
 
@@ -232,7 +214,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     rep.add_argument("--particles", type=positive_int,
                      help="particle count of every run (default: the figure's own)")
     rep.add_argument("--runs", type=positive_int,
-                     help="repetitions per sweep point (default 100)")
+                     help=f"repetitions per sweep point (default {DEFAULT_N_RUNS})")
     qp = command("qp-gen", cmd_qp_gen, "generate and serialize a random QP instance")
     qp.add_argument("--dim", type=int, required=True, help="problem dimension (>= 2)")
     qp.add_argument("--qp-seed", "--seed", dest="qp_seed", type=int, default=0,

@@ -17,14 +17,12 @@ import numpy as np
 
 from .dynamics import (
     CboParams,
-    DiffusionKind,
     ParticleEnsemble,
     consensus_raw,
     euler_maruyama_step,
     variance_functional,
 )
 from .penalty import (
-    ControllerMode,
     FeasibilityCheck,
     PenaltyController,
     _merit,
@@ -42,7 +40,6 @@ __all__ = [
     "RunOutcome",
     "SuccessStats",
     "run",
-    "success_check",
     "success_rate",
     "batched_consensus",
 ]
@@ -136,9 +133,9 @@ def config_from_spec(spec: dict) -> RunConfig:
 
     Omitted fields take their ``SPEC_DEFAULTS`` value; fields that do not
     configure a run (``problem``, ``n_runs``, ...) are ignored.  Enum fields
-    take members or their string values, and ``init``/``batch`` take dicts
-    of InitSpec/BatchSpec fields.  A bad value raises TypeError or
-    ValueError.
+    take members or their string values, which the config classes coerce,
+    and ``init``/``batch`` take dicts of InitSpec/BatchSpec fields.  A bad
+    value raises TypeError or ValueError.
     """
     spec = {**SPEC_DEFAULTS, **spec}
     init, batch = spec["init"], spec["batch"]
@@ -146,17 +143,17 @@ def config_from_spec(spec: dict) -> RunConfig:
         params=CboParams(
             lam=float(spec["lam"]), sigma=float(spec["sigma"]),
             dt=float(spec["dt"]), alpha=float(spec["alpha"]),
-            diffusion=DiffusionKind(spec["diffusion"]),
+            diffusion=spec["diffusion"],
         ),
         controller=PenaltyController.fresh(
             beta0=float(spec["beta0"]), theta0=float(spec["theta0"]),
             eta_beta=float(spec["eta_beta"]), eta_theta=float(spec["eta_theta"]),
-            mode=ControllerMode(spec["mode"]),
+            mode=spec["mode"],
         ),
         n_particles=_whole(spec["n_particles"], "n_particles"),
         n_iterations=_whole(spec["n_iterations"], "n_iterations"),
         seed=_whole(spec["seed"], "seed"),
-        check=FeasibilityCheck(spec["check"]),
+        check=spec["check"],
         init=InitSpec(**init) if isinstance(init, dict) else init,
         batch=BatchSpec(**batch) if isinstance(batch, dict) else batch,
     )
@@ -258,16 +255,21 @@ def batched_consensus(
 
 def _evaluate(problem: Problem, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Objective and penalty values of the (n, d) rows; ValueError, naming
-    the problem, when either callable does not return shape (n,)."""
-    j_vals = np.asarray(problem.objective(positions), dtype=np.float64)
-    r_vals = np.asarray(problem.penalty(positions), dtype=np.float64)
-    for label, vals in (("objective", j_vals), ("penalty", r_vals)):
+    the problem, when either callable does not return shape (n,), and
+    FloatingPointError, naming the callable and the first such particle,
+    when either returns a non-finite value."""
+    values = (np.asarray(problem.objective(positions), dtype=np.float64),
+              np.asarray(problem.penalty(positions), dtype=np.float64))
+    for label, vals in zip(("objective", "penalty"), values):
         if vals.shape != positions.shape[:1]:
             raise ValueError(
                 f"problem {problem.name!r}: {label} must map shape {positions.shape} "
                 f"to ({positions.shape[0]},), got {vals.shape}"
             )
-    return j_vals, r_vals
+        if not np.isfinite(vals).all():
+            bad = np.flatnonzero(~np.isfinite(vals))[0]
+            raise FloatingPointError(f"{label} returned {float(vals[bad])} at particle {bad}")
+    return values
 
 
 def run(problem: Problem, config: RunConfig) -> RunTrace:
@@ -275,8 +277,9 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
 
     A non-finite position, value, weight or violation (FloatingPointError)
     stops the run early and returns the trace so far, with the failing
-    iteration named in ``abort_reason``.  Anything else
-    raises, e.g. ValueError when, at any iteration, the objective or
+    iteration, or the final consensus, named in ``abort_reason``; the final
+    consensus is then that of the last finite ensemble, or NaN.  Anything
+    else raises, e.g. ValueError when, at any iteration, the objective or
     penalty does not map the (n, d) ensemble to shape (n,).
 
     Every iteration makes one step toward a consensus target: without
@@ -289,29 +292,24 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
         batch.validate_for(n)
     init = config.init if config.init is not None else problem.init
     ref = problem.known_solution
-
-    t_arr = np.zeros(K)
-    beta_arr = np.zeros(K)
-    theta_arr = np.zeros(K)
-    viol_arr = np.zeros(K)
-    tol_arr = np.zeros(K)
-    pass_arr = np.zeros(K, dtype=bool)
-    cons_arr = np.zeros((K, d))
-    v_arr = np.full(K, np.nan)
+    # one record per finished iteration, its fields named as RunTrace's columns
+    rows = np.zeros(K, dtype=[
+        ("t", float), ("beta", float), ("theta", float), ("violation", float),
+        ("tolerance", float), ("passed", bool), ("consensus", float, (d,)), ("v", float),
+    ])
 
     start = time.perf_counter()
     ctrl = config.controller
-    reason = None
+    reason = j_vals = r_vals = None
     done = 0
     snapshots: Optional[list[np.ndarray]] = [] if config.record_particles else None
 
     ensemble = ParticleEnsemble(initial_positions(config.seed, n, d, init))
     if snapshots is not None:
         snapshots.append(ensemble.positions)
-    j_vals, r_vals = _evaluate(problem, ensemble.positions)
-
-    for k in range(K):
-        try:
+    try:
+        j_vals, r_vals = _evaluate(problem, ensemble.positions)
+        for k in range(K):
             merit = _merit(j_vals, r_vals, ctrl.beta)
             noise = noise_normals(config.seed, k, n, d)
             if batch is None:
@@ -320,64 +318,41 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
                 target, recorded = batched_consensus(
                     ensemble.positions, merit, alpha, batch, batch_stream(config.seed, k)
                 )
-            ensemble = euler_maruyama_step(ensemble, target, params, noise)
-
-            j_vals, r_vals = _evaluate(problem, ensemble.positions)
+            # the ensemble advances once its values are finite, so that an
+            # abort leaves it paired with its own values for the final consensus
+            stepped = euler_maruyama_step(ensemble, target, params, noise)
+            j_vals, r_vals = _evaluate(problem, stepped.positions)
+            ensemble = stepped
             violation = ensemble_violation(r_vals, j_vals, ctrl.beta, alpha, config.check)
-
-            t_arr[k] = (k + 1) * params.dt
-            beta_arr[k] = ctrl.beta
-            theta_arr[k] = ctrl.theta
-            viol_arr[k] = violation
-            tol_arr[k] = ctrl.tolerance
-            cons_arr[k] = recorded
-            if ref is not None:
-                v_arr[k] = variance_functional(ensemble.positions, ref)
-            ctrl, passed = controller_step(ctrl, violation)
-            pass_arr[k] = passed
+            v = np.nan if ref is None else variance_functional(ensemble.positions, ref)
+            nxt, passed = controller_step(ctrl, violation)
+            rows[k] = ((k + 1) * params.dt, ctrl.beta, ctrl.theta, violation,
+                       ctrl.tolerance, passed, recorded, v)
+            ctrl = nxt
             if snapshots is not None:
                 snapshots.append(ensemble.positions)
             done = k + 1
+    except FloatingPointError as exc:
+        reason = f"iteration {done}: {exc}"
+
+    final_consensus = np.full(d, np.nan)
+    if j_vals is not None:
+        try:
+            final_consensus = consensus_raw(
+                ensemble.positions, _merit(j_vals, r_vals, ctrl.beta), alpha
+            )
         except FloatingPointError as exc:
-            reason = f"iteration {k}: {exc}"
-            break
+            reason = reason or f"final consensus: {exc}"
 
-    try:
-        final_consensus = consensus_raw(
-            ensemble.positions, _merit(j_vals, r_vals, ctrl.beta), alpha
-        )
-    except FloatingPointError:
-        final_consensus = np.full(d, np.nan)
-
-    sl = slice(0, done)
+    rows = rows[:done]
     return RunTrace(
-        t=t_arr[sl],
-        beta=beta_arr[sl],
-        theta=theta_arr[sl],
-        violation=viol_arr[sl],
-        tolerance=tol_arr[sl],
-        passed=pass_arr[sl],
-        consensus=cons_arr[sl],
-        v=v_arr[sl],
+        **{name: rows[name] for name in rows.dtype.names},
         final_consensus=final_consensus,
         final_beta=ctrl.beta,
         duration_s=time.perf_counter() - start,
         abort_reason=reason,
         particles=snapshots,
     )
-
-
-def success_check(final_consensus: np.ndarray, x_star: np.ndarray, tol_inf: float) -> bool:
-    """True iff the consensus point is within tol_inf of x* in every coordinate."""
-    final_consensus = np.asarray(final_consensus, dtype=np.float64)
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if final_consensus.shape != x_star.shape:
-        raise ValueError(f"shape mismatch: {final_consensus.shape} vs {x_star.shape}")
-    if not tol_inf > 0:
-        raise ValueError(f"tol_inf must be > 0, got {tol_inf}")
-    if not np.all(np.isfinite(final_consensus)):
-        return False
-    return bool(np.max(np.abs(final_consensus - x_star)) <= tol_inf)
 
 
 @dataclass(frozen=True)
@@ -391,8 +366,11 @@ class RunOutcome:
 
 @dataclass(frozen=True)
 class SuccessStats:
-    rate: float
     outcomes: tuple[RunOutcome, ...]
+
+    @property
+    def rate(self) -> float:
+        return sum(o.success for o in self.outcomes) / len(self.outcomes)
 
     @property
     def n_aborted(self) -> int:
@@ -408,10 +386,11 @@ def success_rate(
 ) -> SuccessStats:
     """Fraction of runs ending within tol_inf of the known solution.
 
-    Run i uses seed config.seed + i; aborted runs count as failures and are
-    flagged in the outcome list.  Runs do not record V, which no outcome
-    reads.  Runs execute one after another;
-    ``threads`` accepts only 1 and remains only because
+    Run i uses seed config.seed + i.  A run succeeds iff it did not abort
+    and its final consensus is within tol_inf of x* in every coordinate,
+    the boundary included; aborted runs are flagged in the outcome list.
+    Runs do not record V, which no outcome reads.  Runs execute one after
+    another; ``threads`` accepts only 1 and remains only because
     ``perfbench/workloads.py`` passes ``threads=1``.
     """
     if threads != 1:
@@ -431,10 +410,9 @@ def success_rate(
         dist = float(np.max(np.abs(final - x_star))) if np.all(np.isfinite(final)) else np.inf
         outcomes.append(RunOutcome(
             seed=config.seed + i,
-            success=not trace.aborted and success_check(final, x_star, tol_inf),
+            success=not trace.aborted and dist <= tol_inf,
             aborted=trace.aborted,
             distance_inf=dist,
             final_beta=trace.final_beta,
         ))
-    rate = sum(o.success for o in outcomes) / n_runs
-    return SuccessStats(rate=rate, outcomes=tuple(outcomes))
+    return SuccessStats(outcomes=tuple(outcomes))

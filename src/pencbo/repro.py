@@ -68,6 +68,7 @@ BETA0_GRID = tuple(float(b) for b in np.geomspace(1e-5, 1e3, 9))
 SIGMA_GRID = tuple(float(s) for s in np.geomspace(0.1, 3.0, 12))
 QP_DIMENSIONS = (10, 15, 20)
 QP_INSTANCE_SEED = 0
+DEFAULT_N_RUNS = 100  # repetitions per sweep point
 
 
 def _config(row: dict, seed: int, n_particles: Optional[int], **overrides) -> RunConfig:
@@ -77,34 +78,30 @@ def _config(row: dict, seed: int, n_particles: Optional[int], **overrides) -> Ru
     return config_from_spec({**row, "seed": seed, "n_particles": n_particles, **overrides})
 
 
-def _write_summary(out_dir: str, figure: str, summary: dict) -> str:
-    path = os.path.join(out_dir, f"{figure}_summary.json")
+def _write_json(path: str, obj) -> str:
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, default=str)
+        json.dump(obj, fh, indent=2)
     return path
 
 
-def _write_trace(problem, config: RunConfig, out_dir: str, name: str,
-                 paths: list[str]) -> tuple[RunTrace, dict]:
-    """Run, write ``<name>_trace.csv`` and append its path; returns the
-    trace and its summary fields."""
-    trace = run(problem, config)
-    trace_path = os.path.join(out_dir, f"{name}_trace.csv")
-    trace.to_csv(trace_path)
-    paths.append(trace_path)
-    return trace, dict(final_consensus=trace.final_consensus.tolist(),
-                       final_beta=trace.final_beta, aborted=trace.aborted,
-                       duration_s=trace.duration_s)
+def _write_trace(trace: RunTrace, path: str) -> dict:
+    """Write the trace CSV to ``path``; returns the run's summary fields."""
+    trace.to_csv(path)
+    return dict(final_consensus=trace.final_consensus.tolist(),
+                final_beta=trace.final_beta, iterations_recorded=trace.n_recorded,
+                aborted=trace.aborted, abort_reason=trace.abort_reason,
+                duration_s=trace.duration_s, trace_csv=path)
 
 
 def _trace_figures(figure: str, out_dir: str, seed: int,
                    n_particles: Optional[int]) -> list[str]:
-    paths = []
     if figure in ("fig1", "fig2"):
         row = FIGURE_PARAMETERS[figure]
         config = replace(_config(row, seed, n_particles),
                          record_particles=(figure == "fig1"))
-        trace, stats = _write_trace(make_test1(), config, out_dir, figure, paths)
+        trace = run(make_test1(), config)
+        stats = _write_trace(trace, os.path.join(out_dir, f"{figure}_trace.csv"))
+        paths = [stats["trace_csv"]]
         if config.record_particles:
             part_path = os.path.join(out_dir, "fig1_particles.csv")
             with open(part_path, "w") as fh:
@@ -116,23 +113,23 @@ def _trace_figures(figure: str, out_dir: str, seed: int,
             paths.append(part_path)
         summary = dict(figure=figure, config=row, seed=seed,
                        n_particles=config.n_particles, **stats)
-        paths.append(_write_summary(out_dir, figure, summary))
-        return paths
+        return paths + [_write_json(os.path.join(out_dir, f"{figure}_summary.json"), summary)]
 
     # fig4: the four mean-field panels
     problem = make_rastrigin2d()
     panel_stats = {}
     for panel in ("fig4a", "fig4b", "fig4c", "fig4d"):
         config = _config(FIGURE_PARAMETERS[panel], seed, n_particles)
-        _, panel_stats[panel] = _write_trace(problem, config, out_dir, panel, paths)
+        panel_stats[panel] = _write_trace(run(problem, config),
+                                          os.path.join(out_dir, f"{panel}_trace.csv"))
     summary = dict(
         figure="fig4", seed=seed,
         n_particles=config.n_particles,
         note="published panels use 1e6 particles; default here is 1e5 (override with n_particles)",
         panels=panel_stats,
     )
-    paths.append(_write_summary(out_dir, "fig4", summary))
-    return paths
+    return ([stats["trace_csv"] for stats in panel_stats.values()]
+            + [_write_json(os.path.join(out_dir, "fig4_summary.json"), summary)])
 
 
 def _beta0_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
@@ -163,7 +160,7 @@ def _beta0_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
     summary = dict(figure=figure, seed=seed, n_runs=n_runs,
                    note="published sweeps average 500 runs; default here is 100",
                    config=row, results=results)
-    return [table_path, _write_summary(out_dir, figure, summary)]
+    return [table_path, _write_json(os.path.join(out_dir, f"{figure}_summary.json"), summary)]
 
 
 def _sigma_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
@@ -186,16 +183,16 @@ def _sigma_sweep(figure: str, out_dir: str, seed: int, n_runs: int,
                    diffusion=kind.value, qp_instance_seed=QP_INSTANCE_SEED,
                    note="published sweeps average 500 runs; default here is 100",
                    config=row, results=results)
-    return [table_path, _write_summary(out_dir, figure, summary)]
+    return [table_path, _write_json(os.path.join(out_dir, f"{figure}_summary.json"), summary)]
 
 
 def reproduce(figure: str, out_dir: str, seed: int = 0,
               n_particles: Optional[int] = None, n_runs: Optional[int] = None) -> list[str]:
     """Write the plot-ready data files for one figure; returns the paths.
 
-    ``None`` takes the figure's default: its own particle count, and 100
-    runs per sweep point.  A count below 1 raises ValueError before
-    ``out_dir`` is created.
+    ``None`` takes the figure's default: its own particle count, and
+    ``DEFAULT_N_RUNS`` runs per sweep point.  A count below 1 raises
+    ValueError before ``out_dir`` is created.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
@@ -204,7 +201,7 @@ def reproduce(figure: str, out_dir: str, seed: int = 0,
             raise ValueError(f"{name} must be >= 1, got {value}")
     os.makedirs(out_dir, exist_ok=True)
     if n_runs is None:
-        n_runs = 100
+        n_runs = DEFAULT_N_RUNS
     if figure in ("fig1", "fig2", "fig4"):
         return _trace_figures(figure, out_dir, seed, n_particles)
     if figure in ("fig5", "fig6"):

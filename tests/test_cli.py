@@ -126,6 +126,9 @@ class TestSpecErrors:
         (dict(problem="test1", seed=1.5), "invalid spec value"),
         (dict(problem="test1", batch={"kind": "partition", "size": 2, "update_scope": "batch"}),
          "invalid spec value"),
+        (dict(problem="test1", diffusion="nope"), "invalid spec value"),
+        (dict(problem="test1", mode="nope"), "invalid spec value"),
+        (dict(problem="test1", check="nope"), "invalid spec value"),
     ])
     def test_bad_specs_exit_2(self, tmp_path, capsys, fields, fragment):
         spec = write_spec(tmp_path / "spec.json", **fields)
@@ -256,6 +259,12 @@ class TestReproduce:
             summary = json.load(fh)
         assert set(summary["panels"]) == {"fig4a", "fig4b", "fig4c", "fig4d"}
         assert summary["n_particles"] == 30
+        # each panel carries the same fields as a `pencbo run` summary
+        for path, stats in zip(paths, summary["panels"].values()):
+            assert list(stats) == ["final_consensus", "final_beta", "iterations_recorded",
+                                   "aborted", "abort_reason", "duration_s", "trace_csv"]
+            assert stats["trace_csv"] == path
+            assert stats["iterations_recorded"] == 500 and stats["abort_reason"] is None
 
     # large sigma at this step size diverges by design; aborts count as failures
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

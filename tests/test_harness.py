@@ -1,8 +1,10 @@
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pencbo as pc
 from conftest import make_quadratic_bowl, score_separately
@@ -236,13 +238,16 @@ class TestAbort:
         assert trace.aborted == (trace.abort_reason is not None)
         assert "iteration" in trace.abort_reason
         assert trace.n_recorded < 50
+        for name in ("t", "beta", "theta", "violation", "tolerance", "passed", "consensus", "v"):
+            assert len(getattr(trace, name)) == trace.n_recorded, name
         buf = io.StringIO()
         trace.to_csv(buf)
         rows = buf.getvalue().strip().split("\n")[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(trace.n_recorded))
 
     def test_nonfinite_objective_value_aborts(self, quadratic_bowl, small_run_config):
-        # a NaN value is numerical, not a contract breach: the run aborts
+        # a NaN value is numerical, not a contract breach: the run aborts at
+        # the initial evaluation, naming the callable and the particle
         def objective(x):
             vals = quadratic_bowl.objective(x)
             vals[0] = np.nan
@@ -250,8 +255,26 @@ class TestAbort:
 
         trace = pc.run(replace(quadratic_bowl, objective=objective), small_run_config)
         assert trace.aborted
-        assert trace.abort_reason == "iteration 0: consensus values must be finite"
+        assert trace.abort_reason == "iteration 0: objective returned nan at particle 0"
+        assert trace.n_recorded == 0
         assert np.all(np.isnan(trace.final_consensus))
+
+    def test_nonfinite_penalty_value_mid_run_aborts(self, quadratic_bowl, small_run_config):
+        # r turns -inf on particle 3 at its fourth call, after iteration 2's step
+        calls = []
+
+        def penalty(x):
+            calls.append(1)
+            vals = quadratic_bowl.penalty(x)
+            if len(calls) == 4:
+                vals[3] = -np.inf
+            return vals
+
+        trace = pc.run(replace(quadratic_bowl, penalty=penalty), small_run_config)
+        assert trace.abort_reason == "iteration 2: penalty returned -inf at particle 3"
+        assert trace.n_recorded == 2
+        # the final consensus is that of the last finite ensemble
+        assert np.all(np.isfinite(trace.final_consensus))
 
     def test_aborted_runs_count_as_failures(self, quadratic_bowl):
         config = pc.RunConfig(
@@ -265,6 +288,60 @@ class TestAbort:
             stats = pc.success_rate(quadratic_bowl, config, n_runs=3, tol_inf=0.5)
         assert stats.rate == 0.0
         assert stats.n_aborted == 3
+
+
+@st.composite
+def nonfinite_cases(draw):
+    """A small run whose objective or penalty returns one extreme value on
+    one particle from some call on, over every batching mode and check."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    batch = draw(st.sampled_from([None, "all", "batch", "partition"]))
+    if batch == "partition":
+        batch = pc.BatchSpec.partition(draw(st.sampled_from(
+            [s for s in range(1, n + 1) if n % s == 0])))
+    elif batch is not None:
+        batch = pc.BatchSpec.random_subset(draw(st.integers(1, n)), update_scope=batch)
+    config = pc.RunConfig(
+        params=pc.CboParams(lam=1.0, sigma=draw(st.sampled_from([0.0, 1.0, 1e3])), dt=0.1,
+                            alpha=draw(st.sampled_from([0.0, 1.0, 1e6]))),
+        controller=pc.PenaltyController.fresh(
+            beta0=draw(st.sampled_from([1e-300, 0.1, 1e300])), theta0=4.0,
+            mode=draw(st.sampled_from(pc.ControllerMode))),
+        n_particles=n, n_iterations=5, seed=draw(st.integers(0, 20)),
+        check=draw(st.sampled_from(pc.FeasibilityCheck)), batch=batch,
+    )
+    callable_name = draw(st.sampled_from(["objective", "penalty"]))
+    row, first_call = draw(st.integers(0, n - 1)), draw(st.integers(0, 5))
+    value = draw(st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308]))
+    bowl = make_quadratic_bowl(d)
+    calls = []
+
+    def spoiled(x):
+        calls.append(1)
+        vals = getattr(bowl, callable_name)(x)
+        if len(calls) > first_call:
+            vals[row] = value
+        return vals
+
+    return replace(bowl, **{callable_name: spoiled}), config
+
+
+class TestNonFiniteValues:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=400)
+    @given(nonfinite_cases())
+    def test_run_finishes_finite_or_names_its_abort(self, case):
+        # only a broken contract (a negative penalty) may raise
+        problem, config = case
+        try:
+            trace = pc.run(problem, config)
+        except (ValueError, TypeError):
+            return
+        for name in ("t", "beta", "theta", "violation", "tolerance", "passed", "consensus", "v"):
+            assert len(getattr(trace, name)) == trace.n_recorded
+        if not trace.aborted:
+            assert trace.n_recorded == config.n_iterations
+            assert np.all(np.isfinite(trace.final_consensus))
 
 
 class TestProblemContract:
@@ -372,17 +449,57 @@ class TestLongRuns:
 
 
 class TestSuccessScoring:
-    def test_boundary_is_inclusive(self):
-        assert pc.success_check(np.array([0.1, 0.1]), np.zeros(2), 0.1)
-        assert not pc.success_check(np.array([0.11, 0.0]), np.zeros(2), 0.1)
+    @staticmethod
+    def config():
+        return pc.RunConfig(
+            params=pc.CboParams(lam=1.0, sigma=0.5, dt=0.05),
+            controller=pc.PenaltyController.fresh(beta0=1.0, theta0=4.0),
+            n_particles=20, n_iterations=20, seed=40,
+        )
 
-    def test_exact_match(self):
-        x = np.array([1.0, -2.0])
-        assert pc.success_check(x, x, 1e-12)
+    def test_boundary_is_inclusive(self, quadratic_bowl):
+        stats = pc.success_rate(quadratic_bowl, self.config(), n_runs=3, tol_inf=1e-9)
+        for o in stats.outcomes:
+            assert 0 < o.distance_inf < np.inf and not o.aborted
+            seeded = replace(self.config(), seed=o.seed)
+            (at,) = pc.success_rate(quadratic_bowl, seeded, 1, tol_inf=o.distance_inf).outcomes
+            assert at == replace(o, success=True)
+            below = np.nextafter(o.distance_inf, 0.0)
+            (under,) = pc.success_rate(quadratic_bowl, seeded, 1, tol_inf=below).outcomes
+            assert under == replace(o, success=False)
 
-    def test_nonfinite_consensus_fails(self):
-        assert not pc.success_check(np.array([np.nan]), np.zeros(1), 0.1)
-        assert not pc.success_check(np.array([np.inf]), np.zeros(1), 0.1)
+    def test_exact_match(self, quadratic_bowl):
+        # the known solution is the run's own final consensus: distance 0
+        final = pc.run(quadratic_bowl, self.config()).final_consensus
+        at_final = replace(quadratic_bowl, known_solution=final)
+        (o,) = pc.success_rate(at_final, self.config(), 1, tol_inf=1e-12).outcomes
+        assert o.success and o.distance_inf == 0.0
+
+    def test_rate_is_the_share_of_successes(self, quadratic_bowl):
+        stats = pc.success_rate(quadratic_bowl, self.config(), n_runs=6, tol_inf=0.15)
+        assert stats.rate == sum(o.success for o in stats.outcomes) / 6
+        assert 0 < stats.rate < 1
+        assert [f.name for f in fields(pc.SuccessStats)] == ["outcomes"]
+
+    def test_nonfinite_consensus_fails(self, quadratic_bowl):
+        # r == 1e308 on particle 0 fails every check, so beta grows by 1.1 per
+        # iteration; the 7 iterations finish, but the final merit j + beta*r
+        # overflows
+        def penalty(x):
+            vals = np.zeros(len(x))
+            vals[0] = 1e308
+            return vals
+
+        huge = replace(quadratic_bowl, penalty=penalty)
+        config = replace(self.config(), check=pc.FeasibilityCheck.PLAIN_MEAN, n_iterations=7)
+        trace = pc.run(huge, config)
+        assert trace.n_recorded == 7
+        assert trace.abort_reason.startswith("final consensus: merit j + beta*r overflowed")
+        assert np.all(np.isnan(trace.final_consensus))
+        stats = pc.success_rate(huge, config, n_runs=2, tol_inf=1e3)
+        assert [(o.success, o.aborted, o.distance_inf) for o in stats.outcomes] == [
+            (False, True, np.inf)] * 2
+        assert stats.rate == 0.0 and stats.n_aborted == 2
 
     def test_seeds_advance_from_config(self, quadratic_bowl):
         config = pc.RunConfig(
