@@ -16,10 +16,10 @@ import sys
 import time
 from typing import Optional
 
-from .harness import SPEC_DEFAULTS, RunConfig, _whole, config_from_spec, run, success_rate
+from .harness import SPEC_DEFAULTS, RunConfig, _whole, config_from_spec, run
 from .problems import PROBLEMS
 from .qp import make_random_qp
-from .repro import DEFAULT_N_RUNS, FIGURES, _write_json, _write_trace, reproduce
+from .repro import DEFAULT_N_RUNS, FIGURES, _success_table, _write_json, _write_trace, reproduce
 
 __all__ = ["main"]
 
@@ -114,11 +114,11 @@ def cmd_sweep(args) -> int:
     for name in names:
         if not isinstance(axes[name], list) or not axes[name]:
             raise SpecError(f"sweep.{name}: expected a non-empty list")
-    combos = list(itertools.product(*(axes[name] for name in names)))
     try:
         n_runs = _whole(spec["n_runs"], "n_runs")
         tol = float(spec["tol_inf"])
-        points = [[float(v) for v in combo] for combo in combos]
+        points = [tuple(float(v) for v in combo)
+                  for combo in itertools.product(*(axes[name] for name in names))]
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid spec value: {exc}") from exc
     if n_runs < 1:
@@ -126,26 +126,13 @@ def cmd_sweep(args) -> int:
     if not tol > 0:
         raise SpecError(f"tol_inf must be > 0, got {tol}")
     # all configs are built first, so a bad value at any point fails before a run
-    configs = [_build_config({**spec, **dict(zip(names, point))}) for point in points]
+    cells = [(point, problem, _build_config({**spec, **dict(zip(names, point))}))
+             for point in points]
     os.makedirs(args.out, exist_ok=True)
-    rows = [(combo, success_rate(problem, config, n_runs, tol))
-            for combo, config in zip(combos, configs)]
     table_path = os.path.join(args.out, f"{problem.name}_sweep.csv")
-    with open(table_path, "w") as fh:
-        fh.write(",".join(names) + ",success_rate,n_aborted\n")
-        for combo, stats in rows:
-            fh.write(",".join(repr(float(v)) for v in combo)
-                     + f",{stats.rate!r},{stats.n_aborted}\n")
-    summary = dict(
-        spec=spec,
-        problem=problem.name, n_runs=n_runs, tol_inf=tol,
-        points=[dict(zip(names, combo), success_rate=stats.rate,
-                     n_aborted=stats.n_aborted,
-                     outcomes=[dict(seed=o.seed, success=o.success, aborted=o.aborted)
-                               for o in stats.outcomes])
-                for combo, stats in rows],
-        table_csv=table_path,
-    )
+    summary = dict(spec=spec, problem=problem.name, n_runs=n_runs, tol_inf=tol,
+                   points=_success_table(table_path, names, cells, n_runs, tol),
+                   table_csv=table_path)
     print(table_path)
     print(_write_json(os.path.join(args.out, f"{problem.name}_sweep_summary.json"), summary))
     return 0

@@ -102,7 +102,9 @@ class ParticleEnsemble:
 
 def _gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
     """exp(-alpha * values), unnormalized and shifted by the minimum so
-    that large alpha cannot overflow."""
+    that large alpha cannot overflow; all ones at alpha 0, whatever the spread."""
+    if alpha == 0:
+        return np.ones_like(values)
     # a spread whose product overflows to inf gets weight exp(-inf) = 0, its limit
     with np.errstate(over="ignore"):
         return np.exp(-alpha * (values - values.min()))

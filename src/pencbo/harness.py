@@ -109,6 +109,8 @@ class RunConfig:
             raise ValueError(f"n_iterations must be >= 1, got {self.n_iterations}")
         if not isinstance(self.check, FeasibilityCheck):
             object.__setattr__(self, "check", FeasibilityCheck(self.check))
+        if self.batch is not None:
+            self.batch.validate_for(self.n_particles)
 
 
 # Spec fields a RunConfig is built from, and the value each omitted field takes.
@@ -288,8 +290,6 @@ def run(problem: Problem, config: RunConfig) -> RunTrace:
     """
     n, d, K = config.n_particles, problem.dim, config.n_iterations
     params, alpha, batch = config.params, config.params.alpha, config.batch
-    if batch is not None:
-        batch.validate_for(n)
     init = config.init if config.init is not None else problem.init
     ref = problem.known_solution
     # one record per finished iteration, its fields named as RunTrace's columns

@@ -125,16 +125,24 @@ def ensemble_violation(
     PLAIN_MEAN is the unweighted mean of r.  GIBBS weights r(x_i) by
     exp(-alpha * P(x_i, beta)), concentrating the check on the particles
     currently steering the consensus point; with alpha = 0 it is the plain
-    mean.
+    mean.  A finite mean is finite even where the sum of the rows overflows.
     """
     penalties = np.asarray(penalties, dtype=np.float64)
     objectives = np.asarray(objectives, dtype=np.float64)
     if penalties.shape != objectives.shape:
         raise ValueError("penalties and objectives must have matching shapes")
-    if check is FeasibilityCheck.PLAIN_MEAN:
-        return float(penalties.mean())
-    w = _gibbs_weights(_merit(objectives, penalties, beta), alpha)
-    return float((penalties * w).sum() / w.sum())
+    w = (None if check is FeasibilityCheck.PLAIN_MEAN
+         else _gibbs_weights(_merit(objectives, penalties, beta), alpha))
+
+    def mean(r):
+        return r.mean() if w is None else (r * w).sum() / w.sum()
+
+    with np.errstate(over="ignore"):
+        violation = mean(penalties)
+        # only an overflowing sum is rescaled by the largest row; other means keep their bits
+        if np.isinf(violation) and np.isfinite(scale := np.abs(penalties).max()):
+            violation = mean(penalties / scale) * scale
+    return float(violation)
 
 
 _BOUND = float(np.finfo(np.float64).max)

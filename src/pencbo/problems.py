@@ -76,6 +76,15 @@ class InitSpec:
     mean: float | np.ndarray | None = None
     std: float | np.ndarray | None = None
 
+    def __post_init__(self):
+        fields = {"uniform": ("low", "high"), "gaussian": ("mean", "std")}.get(self.kind)
+        if fields is None:
+            raise ValueError(f"unknown init kind {self.kind!r}")
+        for name in fields:
+            value = getattr(self, name)
+            if value is None or not np.all(np.isfinite(value)):
+                raise ValueError(f"{self.kind} init needs a finite {name}, got {value!r}")
+
     @staticmethod
     def uniform(low: float | np.ndarray, high: float | np.ndarray) -> "InitSpec":
         return InitSpec(kind="uniform", low=low, high=high)
@@ -117,15 +126,15 @@ class Problem:
 
 
 def _rowwise(f: Callable[[np.ndarray], np.ndarray]):
-    """Lift an (n, d) -> (n,) function to also accept a single (d,) point."""
+    """Lift an (n, d) -> (n,) function to also accept a single (d,) point.
+    It runs silently: a value past the finite range comes back as inf or NaN."""
 
     def wrapped(x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return float(f(x[None, :])[0])
-        if x.ndim != 2:
+        if x.ndim not in (1, 2):
             raise ValueError(f"expected (d,) or (n, d) input, got shape {x.shape}")
-        return f(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(f(x[None, :])[0]) if x.ndim == 1 else f(x)
 
     return wrapped
 
@@ -267,10 +276,6 @@ def make_rastrigin2d() -> Problem:
     """
 
     @_rowwise
-    def objective(x):
-        return 0.5 * np.sum(_quartic(x), axis=1) + 10.0
-
-    @_rowwise
     def penalty(x):
         z = _to_z(x)
         return np.where(_g_of_z(z) <= 0.0, 0.0, _distance_to_feasible(z))
@@ -278,7 +283,7 @@ def make_rastrigin2d() -> Problem:
     return Problem(
         name="rastrigin2d",
         dim=2,
-        objective=objective,
+        objective=make_j1(2),
         penalty=penalty,
         init=InitSpec.uniform(-3.0, 3.0),
         known_solution=RASTRIGIN2D_SOLUTION,
@@ -336,13 +341,11 @@ def torus_penalty(x: np.ndarray) -> np.ndarray:
 
     rho = sqrt(||x||^2 - x_d^2) is the radius in the leading coordinates;
     the value is | sqrt((rho - 1)^2 + x_d^2) - 1/2 |.  On the axis rho = 0
-    the formula's limit (distance measured from the circle's axis) is used;
-    rounding can drive ||x||^2 - x_d^2 a hair negative, which clamps to 0.
+    the formula's limit (distance measured from the circle's axis) is used.
     """
     if x.shape[1] < 2:
         raise ValueError("torus penalty needs d >= 2")
-    rho_sq = np.sum(x[:, :-1] ** 2, axis=1)
-    rho = np.sqrt(np.maximum(rho_sq, 0.0))
+    rho = np.sqrt(np.sum(x[:, :-1] ** 2, axis=1))
     return np.abs(np.sqrt((rho - 1.0) ** 2 + x[:, -1] ** 2) - 0.5)
 
 

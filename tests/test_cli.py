@@ -95,9 +95,8 @@ class TestRun:
         trace_path = capsys.readouterr().out.strip().split("\n")[0]
         assert os.path.basename(trace_path) == "qp-d4-s1_seed0_trace.csv"
 
-    # positions overflow right before the run aborts; the warning is the symptom
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # the objective overflows at the diverged positions and the run names the value
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_exits_1(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json",
                           **{**TINY, "sigma": 1e150, "dt": 1.0, "n_iterations": 40})
@@ -129,6 +128,14 @@ class TestSpecErrors:
         (dict(problem="test1", diffusion="nope"), "invalid spec value"),
         (dict(problem="test1", mode="nope"), "invalid spec value"),
         (dict(problem="test1", check="nope"), "invalid spec value"),
+        (dict(problem="test1", init={"kind": "bogus"}), "unknown init kind"),
+        (dict(problem="test1", init={"kind": "uniform", "low": -1.0}), "finite high"),
+        (dict(problem="test1", init={"kind": "uniform", "low": -1.0, "high": 1e309}),
+         "finite high"),
+        (dict(problem="test1", n_particles=4, batch={"kind": "partition", "size": 3}),
+         "must divide"),
+        (dict(problem="test1", n_particles=4, batch={"kind": "random_subset", "size": 9}),
+         "exceeds ensemble size"),
     ])
     def test_bad_specs_exit_2(self, tmp_path, capsys, fields, fragment):
         spec = write_spec(tmp_path / "spec.json", **fields)
@@ -173,10 +180,10 @@ class TestSweep:
         table_path, summary_path = capsys.readouterr().out.strip().split("\n")
         with open(table_path) as fh:
             lines = fh.read().strip().split("\n")
-        assert lines[0] == "beta0,sigma,success_rate,n_aborted"
+        assert lines[0] == "beta0,sigma,success_rate,final_beta_median,n_aborted"
         assert len(lines) == 1 + 4
         for line in lines[1:]:
-            beta0, sigma, rate, n_aborted = line.split(",")
+            beta0, sigma, rate, final_beta_median, n_aborted = line.split(",")
             assert 0.0 <= float(rate) <= 1.0
             assert n_aborted == "0"
         with open(summary_path) as fh:
@@ -205,13 +212,14 @@ class TestSweep:
         (dict(sweep={"beta0": [0.1]}, tol_inf=0), "tol_inf must be > 0"),
         (dict(sweep={"beta0": [0.1]}, n_runs=2.5), "invalid spec value"),
         (dict(sweep={"beta0": [0.1]}, n_particles=6.7), "invalid spec value"),
+        (dict(sweep={"beta0": [0.1]}, batch={"kind": "partition", "size": 3}), "must divide"),
     ])
     def test_bad_sweep_values_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                      fields, fragment):
         def no_runs(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr("pencbo.cli.success_rate", no_runs)
+        monkeypatch.setattr("pencbo.repro.success_rate", no_runs)
         spec = write_spec(tmp_path / "spec.json", **{**TINY, **fields})
         rc = main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
         assert rc == 2
@@ -266,9 +274,6 @@ class TestReproduce:
             assert stats["trace_csv"] == path
             assert stats["iterations_recorded"] == 500 and stats["abort_reason"] is None
 
-    # large sigma at this step size diverges by design; aborts count as failures
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_fig7_single_run_sweep(self, tmp_path, capsys):
         rc = main(["reproduce", "--figure", "fig7", "--out", str(tmp_path),
                    "--particles", "8", "--runs", "1"])
@@ -276,7 +281,7 @@ class TestReproduce:
         table_path, summary_path = capsys.readouterr().out.strip().split("\n")
         with open(table_path) as fh:
             lines = fh.read().strip().split("\n")
-        assert lines[0] == "d,sigma,success_rate,n_aborted"
+        assert lines[0] == "d,sigma,success_rate,final_beta_median,n_aborted"
         assert len(lines) == 1 + 3 * 12  # three dimensions, twelve noise levels
         with open(summary_path) as fh:
             summary = json.load(fh)

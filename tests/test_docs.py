@@ -2,12 +2,13 @@
 
 import os
 
+from pencbo.harness import SPEC_DEFAULTS
 from pencbo.repro import FIGURE_PARAMETERS
 
 COLUMNS = ("problem", "n_particles", "n_iterations", "lam", "sigma", "dt",
-           "beta0", "theta0", "eta_beta", "eta_theta", "check")
+           "beta0", "theta0", "eta_beta", "eta_theta", "check", "diffusion")
 HEADER = ("figure", "problem", "N", "K", "lam", "sigma", "dt",
-          "beta0", "theta0", "eta_beta", "eta_theta", "check")
+          "beta0", "theta0", "eta_beta", "eta_theta", "check", "diffusion")
 
 
 def read_readme_table() -> dict:
@@ -30,6 +31,8 @@ def test_readme_table_matches_reproduction_constants():
     table = read_readme_table()
     assert set(table) == set(FIGURE_PARAMETERS)
     for figure, row in FIGURE_PARAMETERS.items():
+        # a row without a field runs with its spec default, as _config builds it
+        row = {**SPEC_DEFAULTS, **row}
         cells = table[figure]
         for header, key in zip(HEADER[1:], COLUMNS):
             value = row[key]

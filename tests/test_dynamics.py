@@ -69,6 +69,11 @@ class TestConsensus:
                                           pc.FeasibilityCheck.GIBBS)
         assert violation == 3.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_alpha_zero_is_the_mean_whatever_the_spread(self):
+        point = consensus_raw(np.array([[0.0], [1.0]]), np.array([1e308, -1e308]), 0.0)
+        np.testing.assert_array_equal(point, [0.5])
+
     def test_consensus_point_wraps_ensemble(self):
         ens = pc.ParticleEnsemble(np.array([[0.0, 0.0], [2.0, 2.0]]))
         point = pc.consensus_raw(ens.positions, np.array([0.0, 0.0]), 0.0)

@@ -223,6 +223,7 @@ class TestBatching:
 
 
 class TestAbort:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_flags_abort_with_partial_trace(self):
         problem = pc.make_test1()
         config = pc.RunConfig(
@@ -232,8 +233,7 @@ class TestAbort:
             n_iterations=50,
             seed=0,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = pc.run(problem, config)
+        trace = pc.run(problem, config)
         assert trace.aborted
         assert trace.aborted == (trace.abort_reason is not None)
         assert "iteration" in trace.abort_reason
@@ -289,11 +289,24 @@ class TestAbort:
         assert stats.rate == 0.0
         assert stats.n_aborted == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_penalties_finish(self):
+        # 20 rows of r = 1e308 sum past the largest float, but their mean is finite
+        bowl = make_quadratic_bowl()
+        config = pc.RunConfig(
+            params=pc.CboParams(lam=1.0, sigma=1.0, dt=0.1),
+            controller=pc.PenaltyController.fresh(beta0=1.0, theta0=4.0),
+            n_particles=20, n_iterations=5, seed=0, check=pc.FeasibilityCheck.PLAIN_MEAN,
+        )
+        trace = pc.run(replace(bowl, penalty=lambda x: np.full(len(x), 1e308)), config)
+        assert not trace.aborted and trace.n_recorded == 5
+        assert np.all(trace.violation == 1e308)
+
 
 @st.composite
 def nonfinite_cases(draw):
     """A small run whose objective or penalty returns one extreme value on
-    one particle from some call on, over every batching mode and check."""
+    a set of particles from some call on, over every batching mode and check."""
     n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     batch = draw(st.sampled_from([None, "all", "batch", "partition"]))
     if batch == "partition":
@@ -311,7 +324,8 @@ def nonfinite_cases(draw):
         check=draw(st.sampled_from(pc.FeasibilityCheck)), batch=batch,
     )
     callable_name = draw(st.sampled_from(["objective", "penalty"]))
-    row, first_call = draw(st.integers(0, n - 1)), draw(st.integers(0, 5))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    first_call = draw(st.integers(0, 5))
     value = draw(st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308]))
     bowl = make_quadratic_bowl(d)
     calls = []
@@ -320,7 +334,7 @@ def nonfinite_cases(draw):
         calls.append(1)
         vals = getattr(bowl, callable_name)(x)
         if len(calls) > first_call:
-            vals[row] = value
+            vals[rows] = value
         return vals
 
     return replace(bowl, **{callable_name: spoiled}), config

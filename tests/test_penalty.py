@@ -168,6 +168,12 @@ class TestViolationEstimators:
         with pytest.raises(ValueError):
             ensemble_violation(np.zeros(3), np.zeros(4), 0.0, 1.0, GIBBS)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("check", [PLAIN_MEAN, GIBBS])
+    def test_finite_mean_of_rows_whose_sum_overflows(self, check):
+        # the sum of 20 rows of 1e308 overflows; their mean does not
+        assert ensemble_violation(np.full(20, 1e308), np.zeros(20), 1.0, 1.0, check) == 1e308
+
 
 class TestPenaltyValue:
     # the merit j + beta * r in closed form
