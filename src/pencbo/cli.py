@@ -16,8 +16,10 @@ import sys
 import time
 from typing import Optional
 
+import numpy as np
+
 from .harness import SPEC_DEFAULTS, RunConfig, _whole, config_from_spec, run
-from .problems import PROBLEMS
+from .problems import PROBLEMS, Problem
 from .qp import make_random_qp
 from .repro import DEFAULT_N_RUNS, FIGURES, _success_table, _write_json, _write_trace, reproduce
 
@@ -75,17 +77,31 @@ def _build_problem(spec: dict):
     raise SpecError("problem: expected a problem name or {'qp': {'d': ..., 'seed': ...}}")
 
 
-def _build_config(spec: dict) -> RunConfig:
+def _build_config(spec: dict, problem: Problem) -> RunConfig:
+    """The spec's RunConfig, with each ``init`` bound checked to broadcast to
+    ``(problem.dim,)`` as the run will need it."""
     try:
-        return config_from_spec(spec)
+        config = config_from_spec(spec)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid spec value: {exc}") from exc
+    init = config.init
+    if init is not None:
+        for name in ("low", "high") if init.kind == "uniform" else ("mean", "std"):
+            bound = getattr(init, name)
+            try:
+                np.broadcast_to(np.asarray(bound, dtype=float), (problem.dim,))
+            except ValueError:
+                raise SpecError(
+                    f"init.{name}: shape {np.shape(bound)} does not broadcast "
+                    f"to the problem's dimension ({problem.dim},)"
+                ) from None
+    return config
 
 
 def cmd_run(args) -> int:
     spec = _load_spec(args.spec, args)
     problem = _build_problem(spec)
-    config = _build_config(spec)
+    config = _build_config(spec, problem)
     os.makedirs(args.out, exist_ok=True)
     trace = run(problem, config)
     base = os.path.join(args.out, f"{problem.name}_seed{config.seed}")
@@ -126,7 +142,7 @@ def cmd_sweep(args) -> int:
     if not tol > 0:
         raise SpecError(f"tol_inf must be > 0, got {tol}")
     # all configs are built first, so a bad value at any point fails before a run
-    cells = [(point, problem, _build_config({**spec, **dict(zip(names, point))}))
+    cells = [(point, problem, _build_config({**spec, **dict(zip(names, point))}, problem))
              for point in points]
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, f"{problem.name}_sweep.csv")

@@ -100,6 +100,32 @@ class ParticleEnsemble:
         return self.positions.shape[1]
 
 
+# Up to this many columns, a numpy reduction over the short row axis is slower
+# than one whole-column operation per column; both forms give the same bits.
+_COLUMN_D = 4
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=1)`` of an (n, d) array, bit for bit, by columns
+    when d is small.  numpy adds fewer than 8 terms from left to right after
+    its identity 0.0, which the ``+ 0.0`` copies: a row of -0.0 sums to +0.0."""
+    if a.shape[1] > _COLUMN_D:
+        return np.sum(a, axis=1)
+    s = a[:, 0] + 0.0
+    for j in range(1, a.shape[1]):
+        s += a[:, j]
+    return s
+
+
+def _hull(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``positions.min(axis=0)`` and ``positions.max(axis=0)``, bit for bit,
+    by columns when d is small."""
+    if positions.shape[1] > _COLUMN_D:
+        return positions.min(axis=0), positions.max(axis=0)
+    columns = positions.T
+    return np.array([c.min() for c in columns]), np.array([c.max() for c in columns])
+
+
 def _gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
     """exp(-alpha * values), unnormalized and shifted by the minimum so
     that large alpha cannot overflow; all ones at alpha 0, whatever the spread."""
@@ -130,8 +156,7 @@ def consensus_raw(positions: np.ndarray, values: np.ndarray, alpha: float) -> np
     point = (positions * w[:, None]).sum(axis=0) / w.sum()
     # weighted mean must stay in the componentwise hull; clip away the
     # last-ulp rounding excursions so downstream code can rely on it
-    lo = positions.min(axis=0)
-    hi = positions.max(axis=0)
+    lo, hi = _hull(positions)
     slack = 1e-9 * np.maximum(1.0, np.abs(hi - lo))
     if np.any(point < lo - slack) or np.any(point > hi + slack):
         raise FloatingPointError("consensus point escaped the coordinate hull")
@@ -163,7 +188,7 @@ def euler_maruyama_step(
         )
     diff = pos - target
     if params.diffusion is DiffusionKind.ISOTROPIC:
-        scales = np.linalg.norm(diff, axis=1, keepdims=True)
+        scales = np.sqrt(_row_sum(diff * diff))[:, None]
     else:
         scales = np.abs(diff)
     new = pos - params.lam * diff * params.dt + params.sigma * scales * noise * np.sqrt(params.dt)
@@ -185,4 +210,4 @@ def variance_functional(positions: np.ndarray, reference: np.ndarray) -> float:
     reference = np.asarray(reference, dtype=np.float64)
     diff = positions - reference[None, :]
     with np.errstate(over="ignore"):  # huge but finite rows give V = inf
-        return float(0.5 * np.mean(np.sum(diff * diff, axis=1)))
+        return float(0.5 * np.mean(_row_sum(diff * diff)))

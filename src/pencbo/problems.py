@@ -15,6 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .dynamics import _row_sum
+
 __all__ = [
     "InitSpec",
     "Problem",
@@ -196,7 +198,7 @@ def _g_term(z: np.ndarray) -> np.ndarray:
 
 def _g_of_z(z: np.ndarray) -> np.ndarray:
     """The rastrigin2d constraint g at constraint-frame rows z."""
-    return 0.5 * np.sum(_g_term(z), axis=1) + 5.0
+    return 0.5 * _row_sum(_g_term(z)) + 5.0
 
 
 @_rowwise
@@ -214,7 +216,9 @@ def rastrigin2d_constraint(x: np.ndarray) -> np.ndarray:
 # cell-to-cell distance transform overestimates the true distance by at most
 # one cell diagonal; subtracting two diagonals after interpolation makes the
 # queried value a guaranteed underestimate, so dist-to-set bounds like
-# r(x) <= |x - x*| survive discretization.
+# r(x) <= |x - x*| survive discretization.  g is even in each z-coordinate,
+# so only the quadrant z >= 0 of the _GRID_N x _GRID_N grid is stored: node
+# (i, j) of the full grid reads quadrant node (|i - c|, |j - c|), c = _GRID_N // 2.
 _GRID_LO = -6.0
 _GRID_HI = 6.0
 _GRID_N = 3001
@@ -224,12 +228,16 @@ _field_cache: dict[str, np.ndarray] = {}
 
 
 def _distance_field() -> np.ndarray:
+    """The exact distance transform, in z units, of the infeasible nodes of
+    the quadrant z >= 0, as a (c + 1, c + 1) float32 array.  A nearest
+    feasible node mirrored into the quadrant is no farther away, so this is
+    the full grid's transform read through the mirror map, bit for bit."""
     with _field_lock:
         if "field" not in _field_cache:
             from scipy.ndimage import distance_transform_edt
 
             # g is separable: node (i, j) sums t[i] + t[j], as _g_of_z sums a row
-            t = _g_term(np.linspace(_GRID_LO, _GRID_HI, _GRID_N))
+            t = _g_term(np.linspace(_GRID_LO, _GRID_HI, _GRID_N)[_GRID_N // 2:])
             infeasible = 0.5 * (t[:, None] + t[None, :]) + 5.0 > 0.0
             edt = distance_transform_edt(infeasible)
             _field_cache["field"] = (edt * _GRID_H).astype(np.float32)
@@ -239,25 +247,28 @@ def _distance_field() -> np.ndarray:
 def _distance_to_feasible(z: np.ndarray) -> np.ndarray:
     """Underestimated Euclidean distance from z-frame points to {g <= 0}."""
     field = _distance_field()
+    c = _GRID_N // 2
     margin = 2.0 * np.sqrt(2.0) * _GRID_H
     inner_lo = _GRID_LO + _GRID_H
     inner_hi = _GRID_HI - _GRID_H
     zc = np.clip(z, inner_lo, inner_hi)
-    overshoot = np.linalg.norm(z - zc, axis=1)
+    over = z - zc
+    overshoot = np.sqrt(_row_sum(over * over))
 
     u = (zc - _GRID_LO) / _GRID_H
     i0 = np.floor(u).astype(np.int64)
     i0 = np.clip(i0, 0, _GRID_N - 2)
     frac = u - i0
-    f00 = field[i0[:, 0], i0[:, 1]]
-    f10 = field[i0[:, 0] + 1, i0[:, 1]]
-    f01 = field[i0[:, 0], i0[:, 1] + 1]
-    f11 = field[i0[:, 0] + 1, i0[:, 1] + 1]
+    # corner[a, b] is full-grid node (i0 + a, j0 + b), read through the mirror
+    step = np.array([[0], [1]])
+    rows = np.abs(i0[:, 0] + step - c) * (c + 1)
+    cols = np.abs(i0[:, 1] + step - c)
+    corner = field.take(rows[:, None] + cols[None, :])
     w0 = 1.0 - frac[:, 0]
     w1 = frac[:, 0]
     interp = (
-        (f00 * w0 + f10 * w1) * (1.0 - frac[:, 1])
-        + (f01 * w0 + f11 * w1) * frac[:, 1]
+        (corner[0, 0] * w0 + corner[1, 0] * w1) * (1.0 - frac[:, 1])
+        + (corner[0, 1] * w0 + corner[1, 1] * w1) * frac[:, 1]
     )
     near = np.maximum(0.0, interp - margin)
     # outside the grid both the clamped field value and the overshoot are
@@ -306,7 +317,7 @@ def make_j1(d: int) -> Callable[[np.ndarray], np.ndarray]:
     def objective(x):
         if x.shape[1] != d:
             raise ValueError(f"expected dimension {d}, got {x.shape[1]}")
-        return np.sum(_quartic(x), axis=1) / d + 10.0
+        return _row_sum(_quartic(x)) / d + 10.0
 
     return objective
 

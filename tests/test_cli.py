@@ -143,6 +143,20 @@ class TestSpecErrors:
         assert rc == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("fields", [
+        dict(problem="test1", init={"kind": "uniform", "low": [0, 0], "high": [1, 1]}),
+        dict(problem="rastrigin2d", init={"kind": "gaussian", "mean": [0, 0, 0], "std": 1.0}),
+        dict(problem="rastrigin2d", init={"kind": "uniform", "low": [[0], [0]], "high": 1.0}),
+    ])
+    def test_init_bounds_of_another_dimension_exit_2_before_any_run(
+            self, tmp_path, capsys, command, fields):
+        spec = write_spec(tmp_path / "spec.json", **{**TINY, **fields}, sweep={"sigma": [1.0]})
+        out = tmp_path / "out"
+        assert main([command, "--spec", spec, "--out", str(out)]) == 2
+        assert "does not broadcast to the problem's dimension" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_iterations_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", **TINY)
         rc = main(["run", "--spec", spec, "--out", str(tmp_path), "--iters", "0"])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pencbo as pc
-from pencbo.dynamics import consensus_raw
+from pencbo.dynamics import _hull, _row_sum, consensus_raw
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -78,6 +78,43 @@ class TestConsensus:
         ens = pc.ParticleEnsemble(np.array([[0.0, 0.0], [2.0, 2.0]]))
         point = pc.consensus_raw(ens.positions, np.array([0.0, 0.0]), 0.0)
         np.testing.assert_allclose(point, [1.0, 1.0])
+
+
+def mixed_rows(n, d, seed):
+    """(n, d) rows of mixed sign and magnitudes 1e-8..1e8, with +-0.0 entries
+    scattered in and a few rows of -0.0 only."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, d))
+    zero = rng.random((n, d)) < 0.2
+    a[zero] = rng.choice([-0.0, 0.0], size=zero.sum())
+    a[:3] = -0.0
+    return a
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestColumnForms:
+    """The by-column reductions give numpy's axis forms bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_row_sum_is_sum_over_axis_1(self, d):
+        a = mixed_rows(5000, d, seed=d)
+        assert same_bits(_row_sum(a), np.sum(a, axis=1))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_root_of_row_sum_of_squares_is_norm(self, d):
+        x = mixed_rows(5000, d, seed=10 + d)
+        assert same_bits(np.sqrt(_row_sum(x * x)), np.linalg.norm(x, axis=1))
+
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_hull_is_min_and_max_over_axis_0(self, n, d):
+        positions = mixed_rows(n, d, seed=100 * n + d)
+        lo, hi = _hull(positions)
+        assert same_bits(lo, positions.min(axis=0))
+        assert same_bits(hi, positions.max(axis=0))
 
 
 class TestEnsemble:

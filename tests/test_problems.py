@@ -72,19 +72,36 @@ class TestRastrigin2d:
 
     def test_distance_field_zero_exactly_on_feasible_nodes(self):
         # grid node (i, j) is the z-frame point (LO + i h, LO + j h); map it
-        # back to x through the inverse rotation and compare with g there
+        # back to x through the inverse rotation and compare with g there.
+        # The field stores the quadrant z >= 0: node (i, j) reads (|i - c|, |j - c|).
         from pencbo.problems import _GRID_H, _GRID_LO, _GRID_N, _ROT, _SHIFT2D, _distance_field
         rng = np.random.default_rng(13)
-        disc = np.arange(_GRID_N // 2 - 80, _GRID_N // 2 + 81)  # around z = (0, 0)
+        c = _GRID_N // 2
+        disc = np.arange(c - 80, c + 81)  # around z = (0, 0)
         idx = np.concatenate([
             rng.integers(0, _GRID_N, size=(20000, 2)),
             np.stack(np.meshgrid(disc, disc, indexing="ij"), axis=-1).reshape(-1, 2),
         ])
         x = (_GRID_LO + idx * _GRID_H) @ _ROT + _SHIFT2D
-        zero = _distance_field()[idx[:, 0], idx[:, 1]] == 0.0
+        mirrored = np.abs(idx - c)
+        zero = _distance_field()[mirrored[:, 0], mirrored[:, 1]] == 0.0
         feasible = rastrigin2d_constraint(x) <= 0.0
         assert 0 < zero.sum() < len(zero)
         np.testing.assert_array_equal(zero, feasible)
+
+    def test_quadrant_field_mirrors_the_full_grid_transform(self):
+        # the full-grid field, built as before the quadrant layout, must be
+        # the stored quadrant read through the mirror map, bit for bit
+        from scipy.ndimage import distance_transform_edt
+
+        from pencbo.problems import _GRID_H, _GRID_HI, _GRID_LO, _GRID_N, _distance_field, _g_term
+        t = _g_term(np.linspace(_GRID_LO, _GRID_HI, _GRID_N))
+        infeasible = 0.5 * (t[:, None] + t[None, :]) + 5.0 > 0.0
+        full = (distance_transform_edt(infeasible) * _GRID_H).astype(np.float32)
+        quadrant = _distance_field()
+        assert quadrant.shape == (_GRID_N // 2 + 1,) * 2
+        mirror = np.abs(np.arange(_GRID_N) - _GRID_N // 2)
+        assert np.array_equal(quadrant[np.ix_(mirror, mirror)], full)
 
     def test_penalty_underestimates_distance_to_any_feasible_point(self):
         # r approximates dist(x, feasible set) from below, so it can never
